@@ -27,6 +27,7 @@ from .poly import IU1, IU2, IV1, IV2, CommPoly, Monomial
 __all__ = [
     "MetAssocElem",
     "basis",
+    "basis_monomials",
     "commutator",
     "from_word",
 ]
@@ -247,22 +248,29 @@ def from_word(word: str, order: int = 4) -> MetAssocElem:
     return e
 
 
+@lru_cache(maxsize=None)
+def basis_monomials(degree: int) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
+    """Degree-d basis monomials, largest first in the monomial order: the
+    u^a v^b block, then the commutator block."""
+    poly = tuple(Monomial((a, degree - a)) for a in range(degree, -1, -1))
+    inner = degree - 2
+    comm = sorted(
+        (
+            _comm_monomial(a, b, c, inner - a - b - c)
+            for a in range(inner + 1)
+            for b in range(inner + 1 - a)
+            for c in range(inner + 1 - a - b)
+        ),
+        key=lambda m: m.exps,
+        reverse=True,
+    )
+    return poly, tuple(comm)
+
+
 def basis(degree: int, order: int = 4) -> list[MetAssocElem]:
     """All degree-d basis monomials, largest first in the monomial order."""
-    if degree < 0:
-        return []
     one = CycNum.one(order)
-    out = [
-        MetAssocElem(CommPoly.term(Monomial((a, degree - a)), one))
-        for a in range(degree, -1, -1)
+    poly, comm = basis_monomials(degree)
+    return [MetAssocElem(CommPoly.term(m, one)) for m in poly] + [
+        MetAssocElem.from_comm(CommPoly.term(m, one)) for m in comm
     ]
-    inner = degree - 2
-    if inner >= 0:
-        monos = []
-        for a in range(inner, -1, -1):
-            for b in range(inner - a, -1, -1):
-                for c in range(inner - a - b, -1, -1):
-                    monos.append(_comm_monomial(a, b, c, inner - a - b - c))
-        monos.sort(key=lambda m: m.exps, reverse=True)
-        out.extend(MetAssocElem.from_comm(CommPoly.term(m, one)) for m in monos)
-    return out

@@ -8,6 +8,13 @@ lcm(4, n).  Reflections act as algebra automorphisms, so their effect on
 a basis word u^a v^b is the canonical form of the swapped word, which
 picks up commutator corrections; the commutator coordinates themselves
 transform without corrections.
+
+Rotations are diagonal on basis monomials: rho scales a monomial of
+rotation weight w by xi^w.  Since sum_k xi^(kw) = n [w = 0 mod n], the
+n rotations average to the projection P0 onto the weight-0 terms, and
+tau rho^k (rotation first, then the swap) averages to tau P0.  The
+Reynolds operators are therefore computed exactly, over any coefficient
+field, as (P0 + tau P0) / 2: one reflection instead of 2n group actions.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .assoc import MetAssocElem
+from .assoc import MetAssocElem, _comm_monomial
 from .cyclo import CycNum, ambient_order, root_of_unity
 from .lie import MetLieElem
 from .poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial
@@ -33,6 +40,7 @@ __all__ = [
     "reynolds_tensor",
     "reynolds_uv",
     "rotation_scalar",
+    "rotation_weight",
 ]
 
 
@@ -92,6 +100,26 @@ def _swap_straighten(a: int, b: int, order: int) -> MetAssocElem:
     return va * ub
 
 
+def rotation_weight(mono: Monomial) -> int:
+    """The exponent w with rho(mono) = xi^w * mono.
+
+    u, u1, u2 weigh +1 and v, v1, v2 weigh -1, so u^a v^b has weight
+    a - b and the commutator monomial u1^a v1^b u2^c v2^d has weight
+    a - b + c - d.
+    """
+    e = mono.exps
+    return e[IU] - e[IV] + e[IU1] - e[IV1] + e[IU2] - e[IV2]
+
+
+def _bump(target: dict, mono: Monomial, val: CycNum) -> None:
+    prev = target.get(mono)
+    s = val if prev is None else prev + val
+    if s.is_zero():
+        target.pop(mono, None)
+    else:
+        target[mono] = s
+
+
 def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
     """Algebra automorphism action on a canonical element.
 
@@ -102,34 +130,23 @@ def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
     poly_out: dict[Monomial, CycNum] = {}
     comm_out: dict[Monomial, CycNum] = {}
 
-    def _bump(target: dict, mono: Monomial, val: CycNum) -> None:
-        prev = target.get(mono)
-        s = val if prev is None else prev + val
-        if s.is_zero():
-            target.pop(mono, None)
-        else:
-            target[mono] = s
-
     for mono, c in e.poly_part.terms.items():
-        a, b = mono.exps[IU], mono.exps[IV]
-        s = c * rotation_scalar(g.n, g.rot * (a - b))
+        s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if not g.flip:
             _bump(poly_out, mono, s)
         else:
-            w = _swap_straighten(a, b, order)
+            w = _swap_straighten(mono.exps[IU], mono.exps[IV], order)
             for m2, c2 in w.poly_part.terms.items():
                 _bump(poly_out, m2, s * c2)
             for m2, c2 in w.comm_part.terms.items():
                 _bump(comm_out, m2, s * c2)
 
     for mono, c in e.comm_part.terms.items():
-        a, b, cc, d = (mono.exps[IU1], mono.exps[IV1], mono.exps[IU2], mono.exps[IV2])
-        s = c * rotation_scalar(g.n, g.rot * (a - b + cc - d))
+        s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:
             # tau sends [v,u] to -[v,u] and swaps left/right u,v trackers
-            exps = [0] * 8
-            exps[IU1], exps[IV1], exps[IU2], exps[IV2] = b, a, d, cc
-            _bump(comm_out, Monomial(exps), -s)
+            x = mono.exps
+            _bump(comm_out, _comm_monomial(x[IV1], x[IU1], x[IV2], x[IU2]), -s)
         else:
             _bump(comm_out, mono, s)
 
@@ -146,17 +163,11 @@ def act_lie(g: DihedralElement, e: MetLieElem) -> MetLieElem:
 
     comm_out: dict[Monomial, CycNum] = {}
     for mono, c in e.comm.terms.items():
-        a, b = mono.exps[IU], mono.exps[IV]
-        s = c * rotation_scalar(g.n, g.rot * (a - b))
+        s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:
-            mono = Monomial((b, a))
+            mono = Monomial((mono.exps[IV], mono.exps[IU]))
             s = -s
-        prev = comm_out.get(mono)
-        t = s if prev is None else prev + s
-        if t.is_zero():
-            comm_out.pop(mono, None)
-        else:
-            comm_out[mono] = t
+        _bump(comm_out, mono, s)
     return MetLieElem(lin_u, lin_v, CommPoly._make(comm_out))
 
 
@@ -164,19 +175,13 @@ def _act_comm_poly(g: DihedralElement, p: CommPoly, pairs) -> CommPoly:
     """Commutative monomial action; pairs lists (u-slot, v-slot) indices."""
     out: dict[Monomial, CycNum] = {}
     for mono, c in p.terms.items():
-        weight = sum(mono.exps[iu] - mono.exps[iv] for iu, iv in pairs)
-        s = c * rotation_scalar(g.n, g.rot * weight)
+        s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:
             exps = list(mono.exps)
             for iu, iv in pairs:
                 exps[iu], exps[iv] = exps[iv], exps[iu]
             mono = Monomial(exps)
-        prev = out.get(mono)
-        t = s if prev is None else prev + s
-        if t.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = t
+        _bump(out, mono, s)
     return CommPoly._make(out)
 
 
@@ -190,26 +195,38 @@ def act_tensor(g: DihedralElement, p: CommPoly) -> CommPoly:
     return _act_comm_poly(g, p, ((IU1, IV1), (IU2, IV2)))
 
 
-def _average(n: int, e, act):
-    acc = None
-    for g in group_elements(n):
-        img = act(g, e)
-        acc = img if acc is None else acc + img
-    return acc.scale(Fraction(1, 2 * n))
+def _weight_zero(p: CommPoly, n: int) -> CommPoly:
+    """P0: the terms of rotation weight 0 mod n, the rotation-fixed part."""
+    return CommPoly._make(
+        {m: c for m, c in p.terms.items() if not rotation_weight(m) % n}
+    )
+
+
+def _symmetrize(n: int, p0, act):
+    """(p0 + tau p0) / 2 for a rotation-fixed p0."""
+    tau = DihedralElement(n, 0, True)  # built first: it rejects n < 3
+    if p0.is_zero():
+        return p0
+    return (p0 + act(tau, p0)).scale(Fraction(1, 2))
 
 
 def reynolds_assoc(n: int, e: MetAssocElem) -> MetAssocElem:
-    """Group average; a projection onto the invariants."""
-    return _average(n, e, act_assoc)
+    """Group average, computed as (P0 + tau P0) / 2; a projection onto
+    the invariants."""
+    p0 = MetAssocElem(_weight_zero(e.poly_part, n), _weight_zero(e.comm_part, n))
+    return _symmetrize(n, p0, act_assoc)
 
 
 def reynolds_lie(n: int, e: MetLieElem) -> MetLieElem:
-    return _average(n, e, act_lie)
+    # u and v weigh +1 and -1, never 0 mod n >= 3: the linear part drops
+    zero = CycNum.zero(e.order)
+    p0 = MetLieElem(zero, zero, _weight_zero(e.comm, n))
+    return _symmetrize(n, p0, act_lie)
 
 
 def reynolds_uv(n: int, p: CommPoly) -> CommPoly:
-    return _average(n, p, act_uv)
+    return _symmetrize(n, _weight_zero(p, n), act_uv)
 
 
 def reynolds_tensor(n: int, p: CommPoly) -> CommPoly:
-    return _average(n, p, act_tensor)
+    return _symmetrize(n, _weight_zero(p, n), act_tensor)

@@ -10,6 +10,9 @@ expression, including inside parentheses and brackets):
     NUMBER := INT ('/' INT)?
     VAR    := 'u' | 'v' | 'x' | 'y'
 
+Parentheses and brackets nest at most MAX_NESTING deep; deeper input is
+a syntax error.
+
 x and y are rewritten to (u+v)/2 and (u-v)/(2i) before evaluation, so
 every expression lands in the u, v presentation.  Printing uses only
 grammar atoms whenever the coefficients lie in Q(i), which covers every
@@ -161,11 +164,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 _ATOM_EXPECTED = ("a number", "'i'", "'u'", "'v'", "'x'", "'y'", "'('", "'['")
 
+# Each nesting level costs a few interpreter frames in the parser and in
+# eval_assoc; this bound keeps both well inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -244,18 +252,21 @@ class _Parser:
             raise ExprSyntaxError(
                 tok.pos, ("'u'", "'v'", "'x'", "'y'", "'i'"), repr(tok.text)
             )
-        if tok.kind == "(":
+        if tok.kind in ("(", "["):
+            if self.depth == MAX_NESTING:
+                self.fail((f"nesting depth at most {MAX_NESTING}",))
+            self.depth += 1
             self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return Group(inner)
-        if tok.kind == "[":
-            self.advance()
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect("]")
-            return Bracket(left, right)
+            if tok.kind == "(":
+                node = Group(self.expr())
+                self.expect(")")
+            else:
+                left = self.expr()
+                self.expect(",")
+                node = Bracket(left, self.expr())
+                self.expect("]")
+            self.depth -= 1
+            return node
         self.fail(_ATOM_EXPECTED)
 
 

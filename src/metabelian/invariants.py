@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import assoc
-from .assoc import MetAssocElem
+from .assoc import MetAssocElem, _comm_monomial, basis_monomials
 from .cyclo import CycNum, ambient_order
 from .dihedral import (
     DihedralElement,
@@ -24,16 +24,11 @@ from .dihedral import (
     reynolds_assoc,
     reynolds_lie,
     reynolds_uv,
+    rotation_weight,
 )
 from .lie import MetLieElem
 from .linalg import RowEchelon, express_in_span
 from .poly import (
-    IU,
-    IU1,
-    IU2,
-    IV,
-    IV1,
-    IV2,
     CommPoly,
     Monomial,
     RationalSeries,
@@ -88,30 +83,8 @@ class DegreeReport:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _assoc_monomials(d: int) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
-    """Basis monomials of degree d: the u^a v^b block, then the comm block."""
-    poly = tuple(Monomial((a, d - a)) for a in range(d, -1, -1))
-    comm: list[Monomial] = []
-    inner = d - 2
-    if inner >= 0:
-        for a in range(inner, -1, -1):
-            for b in range(inner - a, -1, -1):
-                for c in range(inner - a - b, -1, -1):
-                    exps = [0] * 8
-                    exps[IU1], exps[IV1], exps[IU2], exps[IV2] = (
-                        a,
-                        b,
-                        c,
-                        inner - a - b - c,
-                    )
-                    comm.append(Monomial(exps))
-        comm.sort(key=lambda m: m.exps, reverse=True)
-    return poly, tuple(comm)
-
-
-@lru_cache(maxsize=None)
 def _assoc_index(d: int) -> dict[Monomial, int]:
-    poly, comm = _assoc_monomials(d)
+    poly, comm = basis_monomials(d)
     index = {m: j for j, m in enumerate(poly)}
     off = len(poly)
     index.update({m: off + j for j, m in enumerate(comm)})
@@ -129,7 +102,7 @@ def _assoc_row(e: MetAssocElem, d: int) -> dict[int, CycNum]:
 
 
 def _assoc_from_row(row: dict[int, CycNum], d: int) -> MetAssocElem:
-    poly, comm = _assoc_monomials(d)
+    poly, comm = basis_monomials(d)
     off = len(poly)
     pterms: dict[Monomial, CycNum] = {}
     cterms: dict[Monomial, CycNum] = {}
@@ -186,17 +159,9 @@ def invariant_basis_assoc(n: int, d: int, method: str = "reynolds") -> list[MetA
     ech = RowEchelon()
     kept = []
     for b in assoc.basis(d, order):
-        if b.poly_part.terms:
-            (mono,) = b.poly_part.terms
-            if (mono.exps[IU] - mono.exps[IV]) % n:
-                continue
-        else:
-            (mono,) = b.comm_part.terms
-            weight = (
-                mono.exps[IU1] + mono.exps[IU2] - mono.exps[IV1] - mono.exps[IV2]
-            )
-            if weight % n:
-                continue
+        (mono,) = b.poly_part.terms or b.comm_part.terms
+        if rotation_weight(mono) % n:
+            continue
         cand = b + act_assoc(tau, b)
         if cand.is_zero():
             continue
@@ -246,17 +211,15 @@ def invariant_basis_lie(n: int, d: int, method: str = "reynolds") -> list[MetLie
         raise ValueError("need n >= 3")
     order = ambient_order(n)
     if method == "eigen":
+        if d < 2:
+            # u and v carry rotation weights +1 and -1, never 0 mod n >= 3
+            return []
         ech = RowEchelon()
         kept = []
         tau = DihedralElement(n, 0, True)
         for b in _lie_basis(d, order):
-            if d >= 2:
-                (mono,) = b.comm.terms
-                weight = mono.exps[IU] - mono.exps[IV]
-            else:
-                # u carries rotation weight +1 and v weight -1
-                weight = 1 if not b.lin_u.is_zero() else -1
-            if weight % n:
+            (mono,) = b.comm.terms
+            if rotation_weight(mono) % n:
                 continue
             cand = b + act_lie(tau, b)
             if cand.is_zero():
@@ -349,12 +312,6 @@ def cuv_module_generators(n: int) -> list[CommPoly]:
     return gens
 
 
-def _nu_mono(a: int, b: int, c: int, d: int) -> Monomial:
-    exps = [0] * 8
-    exps[IU1], exps[IV1], exps[IU2], exps[IV2] = a, b, c, d
-    return Monomial(exps)
-
-
 def comm_module_generators(n: int) -> list[CommPoly]:
     """The 2n+1 free module generators of the invariant commutator ideal,
     in commutator coordinates.
@@ -364,13 +321,14 @@ def comm_module_generators(n: int) -> list[CommPoly]:
     """
     order = ambient_order(n)
     one = CycNum.one(order)
+    mono = _comm_monomial
     gens = [
-        CommPoly({_nu_mono(a, 0, n - a, 0): one, _nu_mono(0, a, 0, n - a): -one})
+        CommPoly({mono(a, 0, n - a, 0): one, mono(0, a, 0, n - a): -one})
         for a in range(n + 1)
     ]
-    gens.append(CommPoly({_nu_mono(n, 0, n, 0): one, _nu_mono(0, n, 0, n): -one}))
+    gens.append(CommPoly({mono(n, 0, n, 0): one, mono(0, n, 0, n): -one}))
     gens += [
-        CommPoly({_nu_mono(a, 0, 0, a): one, _nu_mono(0, a, a, 0): -one})
+        CommPoly({mono(a, 0, 0, a): one, mono(0, a, a, 0): -one})
         for a in range(1, n)
     ]
     return gens
@@ -516,7 +474,7 @@ def _tensor_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
 def _comm_invariant_rows_assoc(n: int, d: int) -> tuple[dict, ...]:
     """Invariant rows inside the commutator block only (degree d >= 2)."""
     order = ambient_order(n)
-    _, comm = _assoc_monomials(d)
+    _, comm = basis_monomials(d)
     ech = RowEchelon()
     one = CycNum.one(order)
     for m in comm:
@@ -592,7 +550,7 @@ def module_span_check(
         rows = []
         if inner >= 0:
             if side == "both":
-                _, monos = _assoc_monomials(inner + 2)
+                _, monos = basis_monomials(inner + 2)
             else:
                 monos = _uv_monomials(inner)
             index = {m: j for j, m in enumerate(monos)}
@@ -677,7 +635,7 @@ def minimality_check(n: int, max_degree: int | None = None) -> MinimalityReport:
     axis = comm_module_generators(n)[: n + 1]
 
     d = n + 2
-    _, monos = _assoc_monomials(d)
+    _, monos = basis_monomials(d)
     index = {m: j for j, m in enumerate(monos)}
     gen_rows = [_poly_row(h, index) for h in axis]
     assert target.poly_part.is_zero()

@@ -7,6 +7,7 @@ from random import Random
 
 from metabelian.assoc import MetAssocElem
 from metabelian.cyclo import CycNum, imag_unit
+from metabelian.dihedral import group_elements
 from metabelian.lie import MetLieElem
 from metabelian.poly import CommPoly, Monomial
 
@@ -34,11 +35,15 @@ def random_cyc(rng: Random, order: int, nonzero: bool = False) -> CycNum:
 
 
 def random_assoc(
-    rng: Random, order: int = 4, max_degree: int = 5, terms: int = 4
+    rng: Random,
+    order: int = 4,
+    max_degree: int = 5,
+    terms: int = 4,
+    coeff=random_gaussian,
 ) -> MetAssocElem:
     e = MetAssocElem.zero()
     for _ in range(terms):
-        c = random_gaussian(rng, order)
+        c = coeff(rng, order)
         if rng.random() < 0.5:
             a = rng.randint(0, max_degree)
             b = rng.randint(0, max_degree - a)
@@ -55,20 +60,53 @@ def random_assoc(
 
 
 def random_lie(
-    rng: Random, order: int = 4, max_degree: int = 5, terms: int = 3
+    rng: Random,
+    order: int = 4,
+    max_degree: int = 5,
+    terms: int = 3,
+    coeff=random_gaussian,
 ) -> MetLieElem:
-    e = MetLieElem(
-        random_gaussian(rng, order), random_gaussian(rng, order)
-    )
+    e = MetLieElem(coeff(rng, order), coeff(rng, order))
     inner = max(0, max_degree - 2)
     for _ in range(terms):
         a = rng.randint(0, inner)
         b = rng.randint(0, inner - a)
         e = e + MetLieElem.from_comm(
-            CommPoly.term(Monomial((a, b)), random_gaussian(rng, order)),
+            CommPoly.term(Monomial((a, b)), coeff(rng, order)),
             order=order,
         )
     return e
+
+
+def random_comm_poly(
+    rng: Random,
+    names: tuple[str, ...],
+    order: int = 4,
+    max_degree: int = 5,
+    terms: int = 4,
+    coeff=random_gaussian,
+) -> CommPoly:
+    """A random polynomial in the named variables, of degree <= max_degree."""
+    p = CommPoly.zero()
+    for _ in range(terms):
+        left = rng.randint(0, max_degree)
+        exps = {}
+        for name in names:
+            exps[name] = rng.randint(0, left)
+            left -= exps[name]
+        p = p + CommPoly.term(Monomial.from_exponents(exps), coeff(rng, order))
+    return p
+
+
+def group_average(n: int, e, act):
+    """The Reynolds operator by its definition: the mean of the 2n images
+    of e under ``act``.  The library computes the same projection from
+    one reflection; this is the oracle it is tested against."""
+    acc = None
+    for g in group_elements(n):
+        img = act(g, e)
+        acc = img if acc is None else acc + img
+    return acc.scale(Fraction(1, 2 * n))
 
 
 def random_word(rng: Random, max_len: int = 6) -> str:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from conftest import SRC
 from metabelian import cli
-from metabelian.expr import eval_assoc, parse
+from metabelian.expr import MAX_NESTING, eval_assoc, parse
 from metabelian.invariants import DegreeReport
 
 
@@ -44,6 +48,34 @@ def test_canon_parse_error_exit_2(capsys):
     code, _, err = _run(capsys, "canon", "v**u")
     assert code == 2
     assert "syntax error" in err
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 900, 3000])
+@pytest.mark.parametrize("brackets", ["()", "[]"])
+def test_canon_deep_nesting_exit_2(depth, brackets):
+    if brackets == "()":
+        text = "(" * depth + "u" + ")" * depth
+    else:
+        text = "[u," * depth + "v" + "]" * depth
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metabelian.cli", "canon", text],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert f"nesting depth at most {MAX_NESTING}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_canon_nesting_at_the_limit(capsys):
+    depth = MAX_NESTING
+    code, out, _ = _run(capsys, "canon", "(" * depth + "v*u" + ")" * depth)
+    assert code == 0
+    assert out.strip() == "u*v + [v,u]"
+    code, out, _ = _run(capsys, "canon", "[u," * depth + "v" + "]" * depth)
+    assert code == 0
+    assert "[v,u]" in out
 
 
 def test_reynolds(capsys):

@@ -9,16 +9,26 @@ from metabelian.dihedral import (
     DihedralElement,
     act_assoc,
     act_lie,
+    act_tensor,
     act_uv,
     group_elements,
     reynolds_assoc,
     reynolds_lie,
+    reynolds_tensor,
     reynolds_uv,
     rotation_scalar,
+    rotation_weight,
 )
 from metabelian.lie import MetLieElem, embed_assoc
 from metabelian.poly import CommPoly, Monomial
-from helpers import random_assoc, random_lie
+from helpers import (
+    group_average,
+    random_assoc,
+    random_comm_poly,
+    random_cyc,
+    random_gaussian,
+    random_lie,
+)
 
 
 def test_group_sizes():
@@ -163,3 +173,70 @@ def test_commutative_action():
         assert act_uv(g, psum) == psum
     # u alone averages to zero
     assert reynolds_uv(n, CommPoly.variable("u", m)).is_zero()
+
+
+def test_rotation_weight_is_the_rotation_eigenvalue():
+    n = 5
+    m = ambient_order(n)
+    rho = DihedralElement(n, 1, False)
+    one = CycNum.one(m)
+    for exps in ((3, 1), (0, 4), (0, 0, 2, 0, 1, 3), (0, 0, 0, 1, 4, 0)):
+        mono = Monomial(exps)
+        p = CommPoly.term(mono, one)
+        e = MetAssocElem(p) if len(exps) == 2 else MetAssocElem.from_comm(p)
+        xi_w = rotation_scalar(n, rotation_weight(mono))
+        assert act_assoc(rho, e) == e.scale(xi_w)
+
+
+# Every Reynolds operator against the 2n-element group average, on seeded
+# random elements over Q(zeta_m) and over Q(i).  The degree bound n + 2
+# lets weights reach +-n, so the projection keeps terms of weight n too.
+_OPERATORS = {
+    "assoc": (
+        reynolds_assoc,
+        act_assoc,
+        lambda rng, n, m, coeff: random_assoc(rng, m, n + 2, 4, coeff),
+    ),
+    "lie": (
+        reynolds_lie,
+        act_lie,
+        lambda rng, n, m, coeff: random_lie(rng, m, n + 2, 4, coeff),
+    ),
+    "uv": (
+        reynolds_uv,
+        act_uv,
+        lambda rng, n, m, coeff: random_comm_poly(
+            rng, ("u", "v"), m, n + 2, 5, coeff
+        ),
+    ),
+    "tensor": (
+        reynolds_tensor,
+        act_tensor,
+        lambda rng, n, m, coeff: random_comm_poly(
+            rng, ("u1", "v1", "u2", "v2"), m, n + 2, 5, coeff
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OPERATORS))
+@pytest.mark.parametrize(
+    "coeff", [random_cyc, random_gaussian], ids=["cyc", "gaussian"]
+)
+def test_reynolds_equals_group_average(kind, coeff):
+    reynolds, act, draw = _OPERATORS[kind]
+    rng = Random(f"{kind}-{coeff.__name__}")
+    nonzero = 0
+    for n in range(3, 10):
+        m = ambient_order(n)
+        for _ in range(6):
+            e = draw(rng, n, m, coeff)
+            r = reynolds(n, e)
+            assert r == group_average(n, e, act)
+            nonzero += not r.is_zero()
+    assert nonzero >= 10
+
+
+def test_reynolds_rejects_small_n():
+    with pytest.raises(ValueError):
+        reynolds_uv(2, CommPoly.zero())

@@ -20,6 +20,7 @@ from metabelian.invariants import (
     module_span_check,
     subalgebra_filtration,
 )
+from metabelian.invariants import _invariant_rows_assoc, _invariant_rows_lie
 from metabelian.poly import CommPoly, Monomial, RationalSeries
 
 
@@ -86,6 +87,65 @@ def test_reynolds_ranks_match_corner_free_series():
         series = hilbert_assoc(n, corner=False).coefficients(10)
         for d in range(11):
             assert len(invariant_basis_assoc(n, d)) == series[d]
+
+
+# The trace count: dim of the invariants = (1/2n) sum_g trace(g), with
+# no linear algebra.  A rotation rho^k scales a monomial of weight w by
+# xi^(kw), and sum_k xi^(kw) = n [w = 0 mod n], so the rotations add up
+# to n W, W the number of basis monomials of weight 0 mod n.  A
+# reflection tau rho^k is triangular on the basis: the diagonal entry of
+# u^a v^b is [a = b] (tau straightens v^a u^b to u^a v^b plus commutator
+# terms), and that of a commutator monomial, which tau maps to minus its
+# swap, is -[it is swap-fixed]; swap-fixed monomials have weight 0.  So
+# each reflection has the same trace R and dim = (W + R) / 2.
+
+def _assoc_trace_count(n: int, d: int) -> int:
+    w = sum(1 for a in range(d + 1) if (a - (d - a)) % n == 0)
+    inner = d - 2
+    w += sum(
+        1
+        for a in range(inner + 1)
+        for b in range(inner + 1 - a)
+        for c in range(inner + 1 - a - b)
+        if (a - b + c - (inner - a - b - c)) % n == 0
+    )
+    # u^(d/2) v^(d/2) gives +1; u^a v^a [v,u] u^c v^c, 2a + 2c = d - 2,
+    # gives -1 each, d/2 of them
+    if d == 0:
+        r = 1
+    elif d % 2 == 0:
+        r = 1 - d // 2
+    else:
+        r = 0
+    assert (w + r) % 2 == 0
+    return (w + r) // 2
+
+
+def _lie_trace_count(n: int, d: int) -> int:
+    # u and v have weights +1 and -1 and are swapped: no contribution
+    if d < 2:
+        return 0
+    w = sum(1 for a in range(d - 1) if (a - (d - 2 - a)) % n == 0)
+    # [v,u] ad(u)^a ad(v)^a, 2a = d - 2, is the one swap-fixed monomial
+    r = -1 if d % 2 == 0 else 0
+    assert (w + r) % 2 == 0
+    return (w + r) // 2
+
+
+def test_trace_count_assoc():
+    for n in range(3, 9):
+        series = hilbert_assoc(n, corner=False).coefficients(14)
+        for d in range(15):
+            count = _assoc_trace_count(n, d)
+            assert len(_invariant_rows_assoc(n, d)) == count == series[d], (n, d)
+
+
+def test_trace_count_lie():
+    for n in range(3, 9):
+        series = hilbert_lie(n).coefficients(40)
+        for d in range(41):
+            count = _lie_trace_count(n, d)
+            assert len(_invariant_rows_lie(n, d)) == count == series[d], (n, d)
 
 
 def test_stated_series_overcounts_at_corner_degree():
