@@ -1,0 +1,36 @@
+"""Replay of committed verify reports, byte for byte.
+
+``tests/data/verify_<target>_n<n>.json`` holds the stdout of
+``metabelian verify <target> --n <n> --json`` as it was before the
+invariant bases were rebuilt from tau-orbit sums.  Any change in a
+report, its key order or its exit code shows up here, not only a change
+between two runs of the same code.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from metabelian import cli
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# (target, n, exit code): verify assoc exits 1 because the configured
+# series counts the redundant corner generator at degree 2n + 2
+GOLDEN = [
+    ("assoc", 3, 1),
+    ("assoc", 4, 1),
+    ("lie", 3, 0),
+    ("lie", 4, 0),
+    ("cuv-module", 3, 0),
+    ("cuv-module", 4, 0),
+    ("cst", 3, 0),
+    ("cst", 4, 0),
+]
+
+
+@pytest.mark.parametrize("target,n,code", GOLDEN)
+def test_verify_report_matches_golden(capsys, target, n, code):
+    assert cli.main(["verify", target, "--n", str(n), "--json"]) == code
+    expected = (DATA / f"verify_{target}_n{n}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
