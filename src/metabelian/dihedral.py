@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .assoc import MetAssocElem, _comm_monomial
+from .assoc import MetAssocElem
 from .cyclo import CycNum, ambient_order, root_of_unity
 from .lie import MetLieElem
 from .poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial
@@ -41,6 +41,7 @@ __all__ = [
     "reynolds_uv",
     "rotation_scalar",
     "rotation_weight",
+    "swap",
 ]
 
 
@@ -111,6 +112,13 @@ def rotation_weight(mono: Monomial) -> int:
     return e[IU] - e[IV] + e[IU1] - e[IV1] + e[IU2] - e[IV2]
 
 
+def swap(mono: Monomial) -> Monomial:
+    """u <-> v, u1 <-> v1 and u2 <-> v2: where tau sends a monomial,
+    up to sign and straightening."""
+    u, v, u1, v1, u2, v2, x, y = mono.exps
+    return Monomial((v, u, v1, u1, v2, u2, x, y))
+
+
 def _bump(target: dict, mono: Monomial, val: CycNum) -> None:
     prev = target.get(mono)
     s = val if prev is None else prev + val
@@ -145,8 +153,7 @@ def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:
             # tau sends [v,u] to -[v,u] and swaps left/right u,v trackers
-            x = mono.exps
-            _bump(comm_out, _comm_monomial(x[IV1], x[IU1], x[IV2], x[IU2]), -s)
+            _bump(comm_out, swap(mono), -s)
         else:
             _bump(comm_out, mono, s)
 
@@ -165,34 +172,31 @@ def act_lie(g: DihedralElement, e: MetLieElem) -> MetLieElem:
     for mono, c in e.comm.terms.items():
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:
-            mono = Monomial((mono.exps[IV], mono.exps[IU]))
+            mono = swap(mono)
             s = -s
         _bump(comm_out, mono, s)
     return MetLieElem(lin_u, lin_v, CommPoly._make(comm_out))
 
 
-def _act_comm_poly(g: DihedralElement, p: CommPoly, pairs) -> CommPoly:
-    """Commutative monomial action; pairs lists (u-slot, v-slot) indices."""
+def _act_comm_poly(g: DihedralElement, p: CommPoly) -> CommPoly:
+    """Commutative monomial action: rotation scalars, then the swap."""
     out: dict[Monomial, CycNum] = {}
     for mono, c in p.terms.items():
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:
-            exps = list(mono.exps)
-            for iu, iv in pairs:
-                exps[iu], exps[iv] = exps[iv], exps[iu]
-            mono = Monomial(exps)
+            mono = swap(mono)
         _bump(out, mono, s)
     return CommPoly._make(out)
 
 
 def act_uv(g: DihedralElement, p: CommPoly) -> CommPoly:
     """The action on the commutative polynomial ring in u, v."""
-    return _act_comm_poly(g, p, ((IU, IV),))
+    return _act_comm_poly(g, p)
 
 
 def act_tensor(g: DihedralElement, p: CommPoly) -> CommPoly:
     """The diagonal action on the ring in u1, v1, u2, v2 (no sign twist)."""
-    return _act_comm_poly(g, p, ((IU1, IV1), (IU2, IV2)))
+    return _act_comm_poly(g, p)
 
 
 def _weight_zero(p: CommPoly, n: int) -> CommPoly:

@@ -22,11 +22,12 @@ render in the z(m,k) notation for display only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .assoc import MetAssocElem
-from .cyclo import CycNum, imag_unit
+from .cyclo import CycNum, _fraction_text, imag_unit
 from .lie import MetLieElem
 from .poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial
 
@@ -279,47 +280,48 @@ def parse(text: str):
 # Evaluation into the associative algebra
 # ----------------------------------------------------------------------
 
+_CHAIN_OPS = {Sum: operator.add, Difference: operator.sub, Product: operator.mul}
+
+
 def eval_assoc(node, order: int = 4) -> MetAssocElem:
     """Evaluate a syntax tree; x, y are rewritten into u, v first."""
+    # A flat chain such as u+u+...+u parses into a tree as deep as the
+    # chain is long, so its left spine is walked by a loop, not recursion.
+    spine = []
+    while type(node) in _CHAIN_OPS:
+        spine.append(node)
+        node = node.left
     match node:
         case RationalLit(value=q):
-            return MetAssocElem.one(order).scale(q)
+            value = MetAssocElem.one(order).scale(q)
         case ImagLit():
-            return MetAssocElem.one(order).scale(imag_unit(order))
+            value = MetAssocElem.one(order).scale(imag_unit(order))
         case Variable(name="u") | Variable(name="v"):
-            return MetAssocElem.letter(node.name, order)
+            value = MetAssocElem.letter(node.name, order)
         case Variable(name="x"):
             u = MetAssocElem.letter("u", order)
             v = MetAssocElem.letter("v", order)
-            return (u + v).scale(Fraction(1, 2))
+            value = (u + v).scale(Fraction(1, 2))
         case Variable(name="y"):
             u = MetAssocElem.letter("u", order)
             v = MetAssocElem.letter("v", order)
-            return (u - v).scale(imag_unit(order) * Fraction(-1, 2))
+            value = (u - v).scale(imag_unit(order) * Fraction(-1, 2))
         case Group(inner=inner):
-            return eval_assoc(inner, order)
-        case Sum(left=l, right=r):
-            return eval_assoc(l, order) + eval_assoc(r, order)
-        case Difference(left=l, right=r):
-            return eval_assoc(l, order) - eval_assoc(r, order)
-        case Product(left=l, right=r):
-            return eval_assoc(l, order) * eval_assoc(r, order)
+            value = eval_assoc(inner, order)
         case Power(base=b, exponent=k):
-            return eval_assoc(b, order) ** k
+            value = eval_assoc(b, order) ** k
         case Bracket(left=l, right=r):
-            return eval_assoc(l, order).commutator(eval_assoc(r, order))
-    raise TypeError(f"not an expression node: {node!r}")
+            value = eval_assoc(l, order).commutator(eval_assoc(r, order))
+        case _:
+            raise TypeError(f"not an expression node: {node!r}")
+    for op in reversed(spine):
+        value = _CHAIN_OPS[type(op)](value, eval_assoc(op.right, order))
+    return value
 
 
 # ----------------------------------------------------------------------
 # Printing
 # ----------------------------------------------------------------------
-
-def _fraction_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
 
 def _scalar_text(c: CycNum) -> tuple[bool, str]:
     """Render a coefficient as (negate, body); body is grammar-parseable
@@ -335,24 +337,10 @@ def _scalar_text(c: CycNum) -> tuple[bool, str]:
         ipart = "i" if abs(b) == 1 else f"{_fraction_text(abs(b))}*i"
         joiner = " - " if b < 0 else " + "
         return (False, f"({_fraction_text(a)}{joiner}{ipart})")
-    parts = []
-    for e in sorted(c.coeffs):
-        q = c.coeffs[e]
-        neg = q < 0
-        mag = -q if neg else q
-        if e == 0:
-            body = _fraction_text(mag)
-        elif mag == 1:
-            body = f"z({c.order},{e})"
-        else:
-            body = f"{_fraction_text(mag)}*z({c.order},{e})"
-        parts.append((neg, body))
-    if len(parts) == 1:
-        return parts[0]
-    text = ("-" if parts[0][0] else "") + parts[0][1]
-    for neg, body in parts[1:]:
-        text += (" - " if neg else " + ") + body
-    return (False, f"({text})")
+    text = str(c)
+    if len(c.coeffs) > 1:
+        return (False, f"({text})")
+    return (True, text[1:]) if text.startswith("-") else (False, text)
 
 
 def _join_terms(chunks: list[tuple[CycNum, str]]) -> str:

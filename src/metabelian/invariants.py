@@ -1,10 +1,13 @@
 """Degreewise verification of the dihedral invariant theory.
 
-Three independent quantities are compared at every degree: the rank of
-the Reynolds-averaged basis (the defining oracle), the coefficient of a
+Three independent quantities are compared at every degree: the
+dimension of the invariants (the defining oracle), the coefficient of a
 closed-form Hilbert series, and the rank actually reached by products of
-a candidate generating set.  All ranks come from exact row reduction, so
-there is no tolerance anywhere; a report is ok when the numbers agree.
+a candidate generating set.  The invariants come with an explicit basis,
+the Reynolds images of one weight-0 monomial per tau-orbit, which is
+independent by construction; the generated ranks come from exact row
+reduction.  Nothing uses a tolerance; a report is ok when the numbers
+agree.
 """
 
 from __future__ import annotations
@@ -16,15 +19,13 @@ from . import assoc
 from .assoc import MetAssocElem, _comm_monomial, basis_monomials
 from .cyclo import CycNum, ambient_order
 from .dihedral import (
-    DihedralElement,
-    act_assoc,
-    act_lie,
     act_uv,
     group_elements,
     reynolds_assoc,
     reynolds_lie,
     reynolds_uv,
     rotation_weight,
+    swap,
 )
 from .lie import MetLieElem
 from .linalg import RowEchelon, express_in_span
@@ -101,19 +102,6 @@ def _assoc_row(e: MetAssocElem, d: int) -> dict[int, CycNum]:
     return row
 
 
-def _assoc_from_row(row: dict[int, CycNum], d: int) -> MetAssocElem:
-    poly, comm = basis_monomials(d)
-    off = len(poly)
-    pterms: dict[Monomial, CycNum] = {}
-    cterms: dict[Monomial, CycNum] = {}
-    for j, c in row.items():
-        if j < off:
-            pterms[poly[j]] = c
-        else:
-            cterms[comm[j - off]] = c
-    return MetAssocElem(CommPoly(pterms), CommPoly(cterms))
-
-
 @lru_cache(maxsize=None)
 def _uv_monomials(d: int) -> tuple[Monomial, ...]:
     return tuple(Monomial((a, d - a)) for a in range(d, -1, -1))
@@ -124,127 +112,74 @@ def _poly_row(p: CommPoly, index: dict[Monomial, int]) -> dict[int, CycNum]:
 
 
 # ----------------------------------------------------------------------
-# Invariant bases by Reynolds averaging, plus the eigenvalue fast path
+# Invariant bases from tau-orbit sums
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _invariant_rows_assoc(n: int, d: int) -> tuple[dict, ...]:
-    order = ambient_order(n)
-    ech = RowEchelon()
-    for b in assoc.basis(d, order):
-        r = reynolds_assoc(n, b)
-        if not r.is_zero():
-            ech.insert(_assoc_row(r, d))
-    return tuple(ech.rows())
+def _tau_orbit_images(n: int, monos, wrap, reynolds) -> tuple:
+    """Reynolds images of one monomial per tau-orbit: a basis of the
+    invariants in the span of ``monos``, found with no elimination.
 
-
-def invariant_basis_assoc(n: int, d: int, method: str = "reynolds") -> list[MetAssocElem]:
-    """A basis of the degree-d invariants of the associative algebra.
-
-    ``method="reynolds"`` averages every basis monomial over the group
-    and row reduces.  ``method="eigen"`` pre-filters monomials by the
-    rotation eigenvalue congruence and symmetrizes over the reflection
-    only; the two must agree in rank.
+    ``monos`` is one block of basis monomials (u^a v^b words, commutator
+    words, or Lie commutators) and ``wrap`` turns a one-term polynomial
+    into an element of that block.  Rotations fix exactly the monomials
+    of weight 0 mod n.  On such an m, tau gives +-swap(m), plus
+    commutator-block terms when m is a u^a v^b word.  So R(m) has support
+    {m, swap(m)} in m's own block, and R(swap(m)) is +-R(m) up to an
+    invariant of the commutator block.  Keeping the larger of m and
+    swap(m), scaled so that m has coefficient 1, leaves images whose
+    supports in their own block are disjoint: they are independent, and
+    they span.  The images that vanish are those of swap-fixed monomials
+    on which tau acts as -1 (commutator words, Lie commutators).
     """
+    one = CycNum.one(ambient_order(n))
+    out = []
+    for m in monos:
+        if rotation_weight(m) % n:
+            continue
+        s = swap(m)
+        if s.exps > m.exps:
+            continue
+        r = reynolds(n, wrap(CommPoly.term(m, one)))
+        if not r.is_zero():
+            out.append(r if s == m else r.scale(2))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _invariant_rows_assoc(n: int, d: int) -> tuple[MetAssocElem, ...]:
+    poly, comm = basis_monomials(d)
+    return _tau_orbit_images(
+        n, poly, MetAssocElem.from_poly, reynolds_assoc
+    ) + _tau_orbit_images(n, comm, MetAssocElem.from_comm, reynolds_assoc)
+
+
+@lru_cache(maxsize=None)
+def _invariant_rows_lie(n: int, d: int) -> tuple[MetLieElem, ...]:
+    # u and v weigh +1 and -1, never 0 mod n >= 3: nothing below degree 2
+    monos = (Monomial((a, d - 2 - a)) for a in range(d - 2, -1, -1))
+    return _tau_orbit_images(n, monos, MetLieElem.from_comm, reynolds_lie)
+
+
+@lru_cache(maxsize=None)
+def _cuv_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
+    """Basis of the degree-e commutative invariants."""
+    return _tau_orbit_images(n, _uv_monomials(e), lambda p: p, reynolds_uv)
+
+
+def invariant_basis_assoc(n: int, d: int) -> list[MetAssocElem]:
+    """A basis of the degree-d invariants of the associative algebra."""
     if n < 3:
         raise ValueError("need n >= 3")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if method == "reynolds":
-        return [_assoc_from_row(r, d) for r in _invariant_rows_assoc(n, d)]
-    if method != "eigen":
-        raise ValueError(f"unknown method {method!r}")
-    order = ambient_order(n)
-    tau = DihedralElement(n, 0, True)
-    ech = RowEchelon()
-    kept = []
-    for b in assoc.basis(d, order):
-        (mono,) = b.poly_part.terms or b.comm_part.terms
-        if rotation_weight(mono) % n:
-            continue
-        cand = b + act_assoc(tau, b)
-        if cand.is_zero():
-            continue
-        if ech.insert(_assoc_row(cand, d)):
-            kept.append(cand)
-    return kept
+    return list(_invariant_rows_assoc(n, d))
 
 
-def _lie_basis(d: int, order: int) -> list[MetLieElem]:
-    if d == 1:
-        return [MetLieElem.generator("u", order), MetLieElem.generator("v", order)]
-    if d < 2:
-        return []
-    one = CycNum.one(order)
-    return [
-        MetLieElem.from_comm(CommPoly.term(Monomial((a, d - 2 - a)), one))
-        for a in range(d - 2, -1, -1)
-    ]
-
-
-def _lie_row(e: MetLieElem, d: int) -> dict[int, CycNum]:
-    if d == 1:
-        row = {}
-        if not e.lin_u.is_zero():
-            row[0] = e.lin_u
-        if not e.lin_v.is_zero():
-            row[1] = e.lin_v
-        return row
-    index = {Monomial((a, d - 2 - a)): j for j, a in enumerate(range(d - 2, -1, -1))}
-    return {index[m]: c for m, c in e.comm.terms.items()}
-
-
-@lru_cache(maxsize=None)
-def _invariant_rows_lie(n: int, d: int) -> tuple[dict, ...]:
-    order = ambient_order(n)
-    ech = RowEchelon()
-    for b in _lie_basis(d, order):
-        r = reynolds_lie(n, b)
-        if not r.is_zero():
-            ech.insert(_lie_row(r, d))
-    return tuple(ech.rows())
-
-
-def invariant_basis_lie(n: int, d: int, method: str = "reynolds") -> list[MetLieElem]:
+def invariant_basis_lie(n: int, d: int) -> list[MetLieElem]:
     """A basis of the degree-d invariants of the Lie algebra."""
     if n < 3:
         raise ValueError("need n >= 3")
-    order = ambient_order(n)
-    if method == "eigen":
-        if d < 2:
-            # u and v carry rotation weights +1 and -1, never 0 mod n >= 3
-            return []
-        ech = RowEchelon()
-        kept = []
-        tau = DihedralElement(n, 0, True)
-        for b in _lie_basis(d, order):
-            (mono,) = b.comm.terms
-            if rotation_weight(mono) % n:
-                continue
-            cand = b + act_lie(tau, b)
-            if cand.is_zero():
-                continue
-            if ech.insert(_lie_row(cand, d)):
-                kept.append(cand)
-        return kept
-    if method != "reynolds":
-        raise ValueError(f"unknown method {method!r}")
-    rows = _invariant_rows_lie(n, d)
-    out = []
-    one = CycNum.one(order)
-    for row in rows:
-        if d == 1:
-            lin_u = row.get(0, CycNum.zero(order))
-            lin_v = row.get(1, CycNum.zero(order))
-            out.append(MetLieElem(lin_u, lin_v))
-        else:
-            monos = [Monomial((a, d - 2 - a)) for a in range(d - 2, -1, -1)]
-            out.append(
-                MetLieElem.from_comm(
-                    CommPoly({monos[j]: c for j, c in row.items()}), order=order
-                )
-            )
-    return out
+    return list(_invariant_rows_lie(n, d))
 
 
 # ----------------------------------------------------------------------
@@ -437,23 +372,6 @@ def subalgebra_filtration(
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cuv_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
-    """Basis of the degree-e commutative invariants, by Reynolds."""
-    order = ambient_order(n)
-    one = CycNum.one(order)
-    monos = _uv_monomials(e)
-    index = {m: j for j, m in enumerate(monos)}
-    ech = RowEchelon()
-    for m in monos:
-        r = reynolds_uv(n, CommPoly.term(m, one))
-        if not r.is_zero():
-            ech.insert(_poly_row(r, index))
-    return tuple(
-        CommPoly({monos[j]: c for j, c in row.items()}) for row in ech.rows()
-    )
-
-
-@lru_cache(maxsize=None)
 def _tensor_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
     """Degree-e basis of (invariants in u1,v1) tensor (invariants in u2,v2)."""
     out = []
@@ -468,37 +386,6 @@ def _tensor_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
         ]
         out.extend(l * r for l in left for r in right)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _comm_invariant_rows_assoc(n: int, d: int) -> tuple[dict, ...]:
-    """Invariant rows inside the commutator block only (degree d >= 2)."""
-    order = ambient_order(n)
-    _, comm = basis_monomials(d)
-    ech = RowEchelon()
-    one = CycNum.one(order)
-    for m in comm:
-        r = reynolds_assoc(n, MetAssocElem.from_comm(CommPoly.term(m, one)))
-        if not r.is_zero():
-            ech.insert(_assoc_row(r, d))
-    return tuple(ech.rows())
-
-
-@lru_cache(maxsize=None)
-def _comm_invariant_dim_lie(n: int, d: int) -> int:
-    if d < 2:
-        return 0
-    order = ambient_order(n)
-    one = CycNum.one(order)
-    ech = RowEchelon()
-    for a in range(d - 1):
-        e = MetLieElem.from_comm(
-            CommPoly.term(Monomial((a, d - 2 - a)), one), order=order
-        )
-        r = reynolds_lie(n, e)
-        if not r.is_zero():
-            ech.insert(_lie_row(r, d))
-    return ech.rank
 
 
 def module_span_check(
@@ -571,9 +458,11 @@ def module_span_check(
         if side == "left":
             target = d + 1
         elif side == "both":
-            target = len(_comm_invariant_rows_assoc(n, d)) if d >= 2 else 0
+            target = sum(
+                1 for e in _invariant_rows_assoc(n, d) if e.poly_part.is_zero()
+            )
         else:
-            target = _comm_invariant_dim_lie(n, d)
+            target = len(_invariant_rows_lie(n, d))
         ok = ech.rank == predicted[d] == target
         reports.append(DegreeReport(d, target, predicted[d], ech.rank, ok))
     return reports

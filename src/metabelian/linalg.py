@@ -77,51 +77,20 @@ def rank_of(rows) -> int:
 def express_in_span(rows: list[Row], target: Row, order: int) -> list[CycNum] | None:
     """Exact coefficients writing target as a combination of rows, or None.
 
-    Elimination tracks cofactors; the one division happens at the very
-    end when normalizing by the target's accumulated scale.
+    Cofactors ride along as tracking columns past every data column: row
+    j gets column top + 1 + j and the target column top.  Once the
+    target's residual has no data column left, it reads
+    s * target - sum_j c_j * row_j with s at column top and -c_j at
+    column top + 1 + j; the one division is by s.
     """
     one = CycNum.one(order)
-    pivots: dict[int, tuple[Row, Row]] = {}
-
-    def _reduce(row: Row, track: Row) -> tuple[Row, Row]:
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        track = {c: v for c, v in track.items() if not v.is_zero()}
-        while row:
-            lead = min(row)
-            hit = pivots.get(lead)
-            if hit is None:
-                return row, track
-            prow, ptrack = hit
-            a = row[lead]
-            p = prow[lead]
-            def _combine(cur: Row, other: Row) -> Row:
-                if p == 1:
-                    new = dict(cur)
-                else:
-                    new = {c: v * p for c, v in cur.items()}
-                for c, v in other.items():
-                    t = new.get(c)
-                    s = -(a * v) if t is None else t - a * v
-                    if s.is_zero():
-                        new.pop(c, None)
-                    else:
-                        new[c] = s
-                return new
-            row = _combine(row, prow)
-            track = _combine(track, ptrack)
-        return row, track
-
-    for idx, row in enumerate(rows):
-        r, t = _reduce(row, {idx: one})
-        if r:
-            pivots[min(r)] = (r, t)
-
-    res, track = _reduce(target, {-1: one})
-    if res:
+    top = 1 + max((c for r in (*rows, target) for c in r), default=-1)
+    ech = RowEchelon()
+    for j, row in enumerate(rows):
+        ech.insert({**row, top + 1 + j: one})
+    res = ech.reduce({**target, top: one})
+    if min(res) < top:
         return None
-    t0 = track.pop(-1, None)
-    if t0 is None:
-        raise ArithmeticError("target tracking lost during elimination")
-    scale = -t0.inv()
+    scale = -res[top].inv()
     zero = CycNum.zero(order)
-    return [track.get(j, zero) * scale for j in range(len(rows))]
+    return [res.get(top + 1 + j, zero) * scale for j in range(len(rows))]

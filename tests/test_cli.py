@@ -68,6 +68,20 @@ def test_canon_deep_nesting_exit_2(depth, brackets):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("op,expected", [("+", "3000*u"), ("*", "u^3000")])
+def test_canon_long_flat_chain(op, expected):
+    # a flat chain has nesting depth 0 but parses into a left-nested tree
+    # 3000 levels deep, past Python's recursion limit
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metabelian.cli", "canon", op.join(["u"] * 3000)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == expected
+    assert "Traceback" not in proc.stderr
+
+
 def test_canon_nesting_at_the_limit(capsys):
     depth = MAX_NESTING
     code, out, _ = _run(capsys, "canon", "(" * depth + "v*u" + ")" * depth)

@@ -1,8 +1,17 @@
 import pytest
 
+from helpers import group_average
 from metabelian.assoc import MetAssocElem, from_word
+from metabelian.assoc import basis as assoc_basis
 from metabelian.cyclo import CycNum, ambient_order
-from metabelian.dihedral import reynolds_assoc
+from metabelian.dihedral import (
+    act_assoc,
+    act_lie,
+    act_uv,
+    reynolds_assoc,
+    reynolds_lie,
+    reynolds_uv,
+)
 from metabelian.invariants import (
     comm_module_generators,
     corner_generator_relation,
@@ -20,7 +29,13 @@ from metabelian.invariants import (
     module_span_check,
     subalgebra_filtration,
 )
-from metabelian.invariants import _invariant_rows_assoc, _invariant_rows_lie
+from metabelian.invariants import (
+    _cuv_invariant_polys,
+    _invariant_rows_assoc,
+    _invariant_rows_lie,
+)
+from metabelian.lie import MetLieElem
+from metabelian.linalg import RowEchelon, rank_of
 from metabelian.poly import CommPoly, Monomial, RationalSeries
 
 
@@ -30,13 +45,46 @@ def test_invariant_basis_assoc_examples():
     assert len(invariant_basis_assoc(3, 5)) == 5
 
 
-def test_invariant_basis_is_fixed_and_matches_eigen_path():
-    for n in (3, 4):
-        for d in range(9):
-            rey = invariant_basis_assoc(n, d)
-            eig = invariant_basis_assoc(n, d, method="eigen")
-            assert len(rey) == len(eig)
-            for e in rey:
+def _row(e) -> dict:
+    """Coordinates keyed by (block, exponent tuple), independent of the
+    library's own column numbering."""
+    if isinstance(e, MetAssocElem):
+        parts = (e.poly_part.terms, e.comm_part.terms)
+    elif isinstance(e, MetLieElem):
+        linear = {Monomial((1, 0)): e.lin_u, Monomial((0, 1)): e.lin_v}
+        parts = (linear, e.comm.terms)
+    else:
+        parts = (e.terms,)
+    return {
+        (k, m.exps): c
+        for k, terms in enumerate(parts)
+        for m, c in terms.items()
+        if not c.is_zero()
+    }
+
+
+def _check_against_group_average(basis, monomial_elems, n, act):
+    """The basis spans exactly the group averages of the monomials and
+    is independent: same rank, and appending it adds nothing."""
+    ech = RowEchelon()
+    for b in monomial_elems:
+        ech.insert(_row(group_average(n, b, act)))
+    rank = ech.rank
+    assert len(basis) == rank_of(_row(e) for e in basis) == rank
+    for e in basis:
+        ech.insert(_row(e))
+    assert ech.rank == rank
+
+
+def test_invariant_basis_is_fixed_and_matches_group_average():
+    for n in range(3, 7):
+        order = ambient_order(n)
+        for d in range(11):
+            basis = invariant_basis_assoc(n, d)
+            _check_against_group_average(
+                basis, assoc_basis(d, order), n, act_assoc
+            )
+            for e in basis:
                 assert reynolds_assoc(n, e) == e
 
 
@@ -53,12 +101,36 @@ def test_invariant_basis_lie_examples():
     assert len(invariant_basis_lie(3, d=7)) == 1
 
 
-def test_lie_eigen_matches_reynolds():
-    for n in (3, 4):
-        for d in range(10):
-            assert len(invariant_basis_lie(n, d)) == len(
-                invariant_basis_lie(n, d, method="eigen")
-            )
+def test_lie_basis_matches_group_average():
+    for n in range(3, 7):
+        order = ambient_order(n)
+        one = CycNum.one(order)
+        for d in range(31):
+            if d < 2:
+                monos = [
+                    MetLieElem.generator("u", order),
+                    MetLieElem.generator("v", order),
+                ][: 2 * d]
+            else:
+                monos = [
+                    MetLieElem.from_comm(CommPoly.term(Monomial((a, d - 2 - a)), one))
+                    for a in range(d - 1)
+                ]
+            basis = invariant_basis_lie(n, d)
+            _check_against_group_average(basis, monos, n, act_lie)
+            for e in basis:
+                assert reynolds_lie(n, e) == e
+
+
+def test_cuv_basis_matches_group_average():
+    for n in range(3, 7):
+        one = CycNum.one(ambient_order(n))
+        for e in range(21):
+            monos = [CommPoly.term(Monomial((a, e - a)), one) for a in range(e + 1)]
+            basis = _cuv_invariant_polys(n, e)
+            _check_against_group_average(basis, monos, n, act_uv)
+            for p in basis:
+                assert reynolds_uv(n, p) == p
 
 
 def test_hilbert_closed_forms():
