@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycNum
-from .poly import IU1, IU2, IV1, IV2, CommPoly, Monomial
+from .poly import IU1, IU2, CommPoly, Monomial, accumulate
 
 __all__ = [
     "MetAssocElem",
@@ -30,16 +30,12 @@ __all__ = [
     "basis_monomials",
     "commutator",
     "from_word",
+    "uv_monomials",
 ]
-
-_TO_LEFT = {"u": "u1", "v": "v1"}
-_TO_RIGHT = {"u": "u2", "v": "v2"}
 
 
 def _comm_monomial(a: int, b: int, c: int, d: int) -> Monomial:
-    exps = [0] * 8
-    exps[IU1], exps[IV1], exps[IU2], exps[IV2] = a, b, c, d
-    return Monomial(exps)
+    return Monomial((0, 0, a, b, c, d))
 
 
 def _cross_term(p1: CommPoly, p2: CommPoly) -> CommPoly:
@@ -57,12 +53,7 @@ def _cross_term(p1: CommPoly, p2: CommPoly) -> CommPoly:
             for i in range(c):
                 for j in range(b):
                     mono = _comm_monomial(a + i, j, c - 1 - i, b - 1 - j + d)
-                    prev = out.get(mono)
-                    s = coeff if prev is None else prev + coeff
-                    if s.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
+                    accumulate(out, mono, coeff)
     return CommPoly._make(out)
 
 
@@ -122,8 +113,8 @@ class MetAssocElem:
         p1, h1 = self.poly_part, self.comm_part
         p2, h2 = other.poly_part, other.comm_part
         comm = (
-            p1.remap_variables(_TO_LEFT) * h2
-            + h1 * p2.remap_variables(_TO_RIGHT)
+            p1.moved(IU1) * h2
+            + h1 * p2.moved(IU2)
             + _cross_term(p1, p2)
         )
         return MetAssocElem(p1 * p2, comm)
@@ -249,22 +240,23 @@ def from_word(word: str, order: int = 4) -> MetAssocElem:
 
 
 @lru_cache(maxsize=None)
+def uv_monomials(degree: int) -> tuple[Monomial, ...]:
+    """The basis words u^a v^b of degree d, largest first; empty for d < 0."""
+    return tuple(Monomial((a, degree - a)) for a in range(degree, -1, -1))
+
+
+@lru_cache(maxsize=None)
 def basis_monomials(degree: int) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
     """Degree-d basis monomials, largest first in the monomial order: the
     u^a v^b block, then the commutator block."""
-    poly = tuple(Monomial((a, degree - a)) for a in range(degree, -1, -1))
     inner = degree - 2
-    comm = sorted(
-        (
-            _comm_monomial(a, b, c, inner - a - b - c)
-            for a in range(inner + 1)
-            for b in range(inner + 1 - a)
-            for c in range(inner + 1 - a - b)
-        ),
-        key=lambda m: m.exps,
-        reverse=True,
+    comm = tuple(
+        _comm_monomial(a, b, c, inner - a - b - c)
+        for a in range(inner, -1, -1)
+        for b in range(inner - a, -1, -1)
+        for c in range(inner - a - b, -1, -1)
     )
-    return poly, tuple(comm)
+    return uv_monomials(degree), comm
 
 
 def basis(degree: int, order: int = 4) -> list[MetAssocElem]:

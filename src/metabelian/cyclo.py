@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "CycNum",
@@ -95,46 +95,6 @@ def _reduce_dense(order: int, dense: list[Fraction]) -> dict[int, Fraction]:
                 if pj:
                     dense[base + j] -= c * pj
     return {e: c for e, c in enumerate(dense[:deg]) if c}
-
-
-def _ptrim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    if len(a) < len(b):
-        return [], a
-    q = [_F0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for shift in range(len(a) - len(b), -1, -1):
-        c = a[shift + len(b) - 1] / lead
-        if c:
-            q[shift] = c
-            for j, bc in enumerate(b):
-                a[shift + j] -= c * bc
-    return q, _ptrim(a)
-
-
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [_F0] * (len(b) - len(a))
-    for j, c in enumerate(b):
-        out[j] -= c
-    return out
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return out
 
 
 class CycNum:
@@ -281,30 +241,23 @@ class CycNum:
         return result
 
     def inv(self) -> CycNum:
-        """Multiplicative inverse; division by zero is a reported error."""
+        """Multiplicative inverse; division by zero is a reported error.
+
+        With sigma_k the automorphism zeta -> zeta^k, the product c of
+        the sigma_k(x) over 1 < k < m, gcd(k, m) = 1, makes x * c the
+        norm of x, a nonzero rational; so 1/x = c / (x * c).
+        """
         if not self.coeffs:
             raise ZeroDivisionError(f"division by zero in Q(zeta_{self.order})")
         if self.is_rational():
             return CycNum._make(self.order, {0: 1 / self.coeffs[0]})
-        deg = euler_phi(self.order)
-        a = [_F0] * deg
-        for e, c in self.coeffs.items():
-            a[e] = c
-        # extended euclid against Phi_m, tracking the cofactor of a only
-        r0 = _ptrim([Fraction(c) for c in cyclotomic_polynomial(self.order)])
-        r1 = _ptrim(a)
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [_F1]
-        while len(r1) > 1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _ptrim(_psub(s0, _pmul(q, s1)))
-        if not r1:
-            raise ArithmeticError("gcd degenerated, Phi_m should be irreducible")
-        g = r1[0]
-        return CycNum._make(
-            self.order, _reduce_dense(self.order, [c / g for c in s1])
-        )
+        m = self.order
+        conj = CycNum.one(m)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                sigma = CycNum(m, {k * e % m: c for e, c in self.coeffs.items()})
+                conj = conj * sigma
+        return conj * (1 / (self * conj).rational_value())
 
     def __truediv__(self, other):
         other = self._coerce(other)

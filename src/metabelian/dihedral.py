@@ -26,7 +26,7 @@ from functools import lru_cache
 from .assoc import MetAssocElem
 from .cyclo import CycNum, ambient_order, root_of_unity
 from .lie import MetLieElem
-from .poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial
+from .poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial, accumulate
 
 __all__ = [
     "DihedralElement",
@@ -115,17 +115,8 @@ def rotation_weight(mono: Monomial) -> int:
 def swap(mono: Monomial) -> Monomial:
     """u <-> v, u1 <-> v1 and u2 <-> v2: where tau sends a monomial,
     up to sign and straightening."""
-    u, v, u1, v1, u2, v2, x, y = mono.exps
-    return Monomial((v, u, v1, u1, v2, u2, x, y))
-
-
-def _bump(target: dict, mono: Monomial, val: CycNum) -> None:
-    prev = target.get(mono)
-    s = val if prev is None else prev + val
-    if s.is_zero():
-        target.pop(mono, None)
-    else:
-        target[mono] = s
+    u, v, u1, v1, u2, v2 = mono.exps
+    return Monomial((v, u, v1, u1, v2, u2))
 
 
 def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
@@ -141,21 +132,21 @@ def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
     for mono, c in e.poly_part.terms.items():
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if not g.flip:
-            _bump(poly_out, mono, s)
+            accumulate(poly_out, mono, s)
         else:
             w = _swap_straighten(mono.exps[IU], mono.exps[IV], order)
             for m2, c2 in w.poly_part.terms.items():
-                _bump(poly_out, m2, s * c2)
+                accumulate(poly_out, m2, s * c2)
             for m2, c2 in w.comm_part.terms.items():
-                _bump(comm_out, m2, s * c2)
+                accumulate(comm_out, m2, s * c2)
 
     for mono, c in e.comm_part.terms.items():
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:
             # tau sends [v,u] to -[v,u] and swaps left/right u,v trackers
-            _bump(comm_out, swap(mono), -s)
+            accumulate(comm_out, swap(mono), -s)
         else:
-            _bump(comm_out, mono, s)
+            accumulate(comm_out, mono, s)
 
     return MetAssocElem(CommPoly._make(poly_out), CommPoly._make(comm_out))
 
@@ -174,7 +165,7 @@ def act_lie(g: DihedralElement, e: MetLieElem) -> MetLieElem:
         if g.flip:
             mono = swap(mono)
             s = -s
-        _bump(comm_out, mono, s)
+        accumulate(comm_out, mono, s)
     return MetLieElem(lin_u, lin_v, CommPoly._make(comm_out))
 
 
@@ -185,7 +176,7 @@ def _act_comm_poly(g: DihedralElement, p: CommPoly) -> CommPoly:
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:
             mono = swap(mono)
-        _bump(out, mono, s)
+        accumulate(out, mono, s)
     return CommPoly._make(out)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import assoc
-from .assoc import MetAssocElem, _comm_monomial, basis_monomials
+from .assoc import MetAssocElem, _comm_monomial, basis_monomials, uv_monomials
 from .cyclo import CycNum, ambient_order
 from .dihedral import (
     act_uv,
@@ -30,6 +30,8 @@ from .dihedral import (
 from .lie import MetLieElem
 from .linalg import RowEchelon, express_in_span
 from .poly import (
+    IU1,
+    IU2,
     CommPoly,
     Monomial,
     RationalSeries,
@@ -102,11 +104,6 @@ def _assoc_row(e: MetAssocElem, d: int) -> dict[int, CycNum]:
     return row
 
 
-@lru_cache(maxsize=None)
-def _uv_monomials(d: int) -> tuple[Monomial, ...]:
-    return tuple(Monomial((a, d - a)) for a in range(d, -1, -1))
-
-
 def _poly_row(p: CommPoly, index: dict[Monomial, int]) -> dict[int, CycNum]:
     return {index[m]: c for m, c in p.terms.items()}
 
@@ -156,14 +153,13 @@ def _invariant_rows_assoc(n: int, d: int) -> tuple[MetAssocElem, ...]:
 @lru_cache(maxsize=None)
 def _invariant_rows_lie(n: int, d: int) -> tuple[MetLieElem, ...]:
     # u and v weigh +1 and -1, never 0 mod n >= 3: nothing below degree 2
-    monos = (Monomial((a, d - 2 - a)) for a in range(d - 2, -1, -1))
-    return _tau_orbit_images(n, monos, MetLieElem.from_comm, reynolds_lie)
+    return _tau_orbit_images(n, uv_monomials(d - 2), MetLieElem.from_comm, reynolds_lie)
 
 
 @lru_cache(maxsize=None)
 def _cuv_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
     """Basis of the degree-e commutative invariants."""
-    return _tau_orbit_images(n, _uv_monomials(e), lambda p: p, reynolds_uv)
+    return _tau_orbit_images(n, uv_monomials(e), lambda p: p, reynolds_uv)
 
 
 def invariant_basis_assoc(n: int, d: int) -> list[MetAssocElem]:
@@ -342,6 +338,7 @@ def subalgebra_filtration(
     span: dict[int, list[MetAssocElem]] = {}
     reports = []
     for d in range(max_degree + 1):
+        dim_r = len(_invariant_rows_assoc(n, d))
         ech = RowEchelon()
         reps: list[MetAssocElem] = []
         if d == 0:
@@ -349,18 +346,20 @@ def subalgebra_filtration(
             ech.insert(_assoc_row(unit, 0))
             reps.append(unit)
         else:
-            for dg, g in graded:
-                lower = d - dg
-                if lower < 0:
-                    continue
-                for s in span.get(lower, ()):
-                    prod = s * g
-                    if prod.is_zero():
-                        continue
-                    if ech.insert(_assoc_row(prod, d)):
-                        reps.append(prod)
+            # the generators are invariant, so once the span has the
+            # dimension of the invariants no product can enlarge it
+            products = (
+                s * g
+                for dg, g in graded
+                if d >= dg
+                for s in span.get(d - dg, ())
+            )
+            for prod in products:
+                if not prod.is_zero() and ech.insert(_assoc_row(prod, d)):
+                    reps.append(prod)
+                    if ech.rank == dim_r:
+                        break
         span[d] = reps
-        dim_r = len(_invariant_rows_assoc(n, d))
         reports.append(
             DegreeReport(d, dim_r, series[d], ech.rank, dim_r == series[d] == ech.rank)
         )
@@ -376,14 +375,8 @@ def _tensor_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
     """Degree-e basis of (invariants in u1,v1) tensor (invariants in u2,v2)."""
     out = []
     for e1 in range(e + 1):
-        left = [
-            p.remap_variables({"u": "u1", "v": "v1"})
-            for p in _cuv_invariant_polys(n, e1)
-        ]
-        right = [
-            p.remap_variables({"u": "u2", "v": "v2"})
-            for p in _cuv_invariant_polys(n, e - e1)
-        ]
+        left = [p.moved(IU1) for p in _cuv_invariant_polys(n, e1)]
+        right = [p.moved(IU2) for p in _cuv_invariant_polys(n, e - e1)]
         out.extend(l * r for l in left for r in right)
     return tuple(out)
 
@@ -439,7 +432,7 @@ def module_span_check(
             if side == "both":
                 _, monos = basis_monomials(inner + 2)
             else:
-                monos = _uv_monomials(inner)
+                monos = uv_monomials(inner)
             index = {m: j for j, m in enumerate(monos)}
             for dz, z in graded:
                 e = d - dz

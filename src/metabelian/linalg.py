@@ -1,15 +1,17 @@
-"""Division-free exact row reduction over the cyclotomic field.
+"""Exact row reduction over the cyclotomic field with monic pivots.
 
-Rows are sparse {column: CycNum} maps with no zero entries.  Elimination
-uses cross multiplication (row <- p*row - a*pivot) so no field inversion
-happens on the elimination path; pivot rows with a rational leading
-entry are rescaled by that rational to keep entries small.  Pivoting is
-deterministic: always the smallest remaining column.
+Rows are sparse {column: CycNum} maps with no zero entries.  Every
+stored pivot row is scaled at insertion so that its leading entry is 1;
+elimination is then row <- row - a*pivot, which never scales the row
+being reduced.  The one inversion per kept row is a rational division
+whenever the leading entry is rational, as on every verification path.
+Pivoting is deterministic: always the smallest remaining column.
 """
 
 from __future__ import annotations
 
 from .cyclo import CycNum
+from .poly import accumulate
 
 __all__ = ["RowEchelon", "express_in_span", "rank_of"]
 
@@ -30,20 +32,9 @@ class RowEchelon:
             piv = self._pivots.get(lead)
             if piv is None:
                 return row
-            a = row[lead]
-            p = piv[lead]
-            if p == 1:
-                new = dict(row)
-            else:
-                new = {c: v * p for c, v in row.items()}
+            na = -row[lead]
             for c, v in piv.items():
-                t = new.get(c)
-                s = -(a * v) if t is None else t - a * v
-                if s.is_zero():
-                    new.pop(c, None)
-                else:
-                    new[c] = s
-            row = new
+                accumulate(row, c, na * v)
         return row
 
     def insert(self, row: Row) -> bool:
@@ -53,8 +44,8 @@ class RowEchelon:
             return False
         lead = min(r)
         pval = r[lead]
-        if pval.is_rational() and pval != 1:
-            q = 1 / pval.rational_value()
+        if pval != 1:
+            q = pval.inv()
             r = {c: v * q for c, v in r.items()}
         self._pivots[lead] = r
         return True
@@ -78,10 +69,10 @@ def express_in_span(rows: list[Row], target: Row, order: int) -> list[CycNum] | 
     """Exact coefficients writing target as a combination of rows, or None.
 
     Cofactors ride along as tracking columns past every data column: row
-    j gets column top + 1 + j and the target column top.  Once the
-    target's residual has no data column left, it reads
-    s * target - sum_j c_j * row_j with s at column top and -c_j at
-    column top + 1 + j; the one division is by s.
+    j gets column top + 1 + j and the target column top.  Reduction
+    never scales the target, so once its residual has no data column
+    left it reads target - sum_j c_j * row_j, with -c_j at column
+    top + 1 + j.
     """
     one = CycNum.one(order)
     top = 1 + max((c for r in (*rows, target) for c in r), default=-1)
@@ -91,6 +82,5 @@ def express_in_span(rows: list[Row], target: Row, order: int) -> list[CycNum] | 
     res = ech.reduce({**target, top: one})
     if min(res) < top:
         return None
-    scale = -res[top].inv()
     zero = CycNum.zero(order)
-    return [res.get(top + 1 + j, zero) * scale for j in range(len(rows))]
+    return [-res.get(top + 1 + j, zero) for j in range(len(rows))]

@@ -1,9 +1,11 @@
 """Sparse commutative polynomials over CycNum, plus exact rational series.
 
-Monomials live over a fixed variable universe: u, v for the rank-2
-alphabet, u1, v1, u2, v2 for commutator-ideal coordinates, and x, y for
-coordinate-change work.  The printing and pivoting order is the
-lexicographic order on the exponent tuples in that variable order.
+A monomial is the six exponents of u, v (the rank-2 alphabet) and u1,
+v1, u2, v2 (the commutator-ideal coordinates); the elements of both
+algebras are built from polynomials in these.  The printing and pivoting
+order is the lexicographic order on the exponent tuples in that variable
+order.  ``accumulate`` is the one place where a sparse sum adds a term
+and drops a coefficient that cancels to zero.
 """
 
 from __future__ import annotations
@@ -18,16 +20,28 @@ __all__ = [
     "Monomial",
     "RationalSeries",
     "VARIABLES",
+    "accumulate",
     "intpoly_add",
     "intpoly_mul",
 ]
 
-VARIABLES = ("u", "v", "u1", "v1", "u2", "v2", "x", "y")
+VARIABLES = ("u", "v", "u1", "v1", "u2", "v2")
 _VAR_INDEX = {name: j for j, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
 
 # slot indices used throughout the package
-IU, IV, IU1, IV1, IU2, IV2, IX, IY = range(8)
+IU, IV, IU1, IV1, IU2, IV2 = range(6)
+
+
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value, with no zero coefficient left stored."""
+    prev = out.get(key)
+    if prev is not None:
+        value = prev + value
+    if value.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = value
 
 
 class Monomial:
@@ -57,13 +71,6 @@ class Monomial:
 
     def degree(self) -> int:
         return sum(self.exps)
-
-    def remap(self, mapping: dict[str, str]) -> Monomial:
-        exps = [0] * _NVARS
-        for j, e in enumerate(self.exps):
-            if e:
-                exps[_VAR_INDEX[mapping.get(VARIABLES[j], VARIABLES[j])]] += e
-        return Monomial(exps)
 
     def __mul__(self, other: Monomial) -> Monomial:
         out = object.__new__(Monomial)
@@ -131,12 +138,7 @@ class CommPoly:
     def __add__(self, other: CommPoly) -> CommPoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
-            prev = out.get(m)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+            accumulate(out, m, c)
         return CommPoly._make(out)
 
     def __neg__(self) -> CommPoly:
@@ -149,14 +151,7 @@ class CommPoly:
         out: dict[Monomial, CycNum] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1 * m2
-                c = c1 * c2
-                prev = out.get(m)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                accumulate(out, m1 * m2, c1 * c2)
         return CommPoly._make(out)
 
     def scale(self, c) -> CommPoly:
@@ -198,16 +193,17 @@ class CommPoly:
             out = out + acc
         return out
 
-    def remap_variables(self, mapping: dict[str, str]) -> CommPoly:
-        out: dict[Monomial, CycNum] = {}
+    def moved(self, slot: int) -> CommPoly:
+        """A polynomial in u, v rewritten in the variables at ``slot`` and
+        ``slot + 1`` (IU1 for u1, v1; IU2 for u2, v2).  The move is
+        injective, so no coefficients combine."""
+        left = (0,) * slot
+        right = (0,) * (_NVARS - 2 - slot)
+        out = {}
         for m, c in self.terms.items():
-            mm = m.remap(mapping)
-            prev = out.get(mm)
-            s = c if prev is None else prev + c
-            if not s.is_zero():
-                out[mm] = s
-            else:
-                out.pop(mm, None)
+            mm = object.__new__(Monomial)
+            mm.exps = left + m.exps[:2] + right
+            out[mm] = c
         return CommPoly._make(out)
 
     def homogeneous_component(self, d: int) -> CommPoly:

@@ -74,7 +74,7 @@ def test_conjugation():
 
 def test_inverse_and_field_laws():
     rng = Random(7)
-    for m in (4, 12, 20):
+    for m in (4, 12, 20, 3, 9, 28):
         for _ in range(25):
             a = random_cyc(rng, m, nonzero=True)
             b = random_cyc(rng, m)

@@ -47,10 +47,11 @@ def test_substitute_swap_fixes_power_sum():
 
 
 def test_substitute_into_xy():
+    # the coordinate change u -> x + i*y, with u1, v1 standing for x, y
     order = 4
     u = _var("u", order)
-    x, y = _var("x", order), _var("y", order)
-    img = x + y.scale(imag_unit(order))
+    u1, v1 = _var("u1", order), _var("v1", order)
+    img = u1 + v1.scale(imag_unit(order))
     assert u.substitute({"u": img}) == img
 
 
