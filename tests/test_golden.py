@@ -1,12 +1,16 @@
-"""Replay of committed verify reports, byte for byte.
+"""Replay of committed command outputs, byte for byte.
 
 ``tests/data/verify_<target>_n<n>.json`` holds the stdout of
 ``metabelian verify <target> --n <n> --json`` as it was before the
-invariant bases were rebuilt from tau-orbit sums.  Any change in a
-report, its key order or its exit code shows up here, not only a change
-between two runs of the same code.
+invariant bases were rebuilt from tau-orbit sums.  ``tests/data/canon.json``
+holds argv, exit code and stdout of ``canon`` and ``reynolds`` in both
+bases, as they were before the x,y rewrite became one linear
+substitution: the README examples, u,v text, x,y text, mixed text and
+two syntax errors.  Any change in an output, its key order or its exit
+code shows up here, not only a change between two runs of the same code.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,14 @@ def test_verify_report_matches_golden(capsys, target, n, code):
     assert cli.main(["verify", target, "--n", str(n), "--json"]) == code
     expected = (DATA / f"verify_{target}_n{n}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+CANON = json.loads((DATA / "canon.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", CANON, ids=[f"{k:02d}-{c['argv'][0]}" for k, c in enumerate(CANON)]
+)
+def test_canon_output_matches_golden(capsys, case):
+    assert cli.main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
