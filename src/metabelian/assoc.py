@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycNum
-from .poly import IU1, IU2, CommPoly, Monomial, accumulate
+from .poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial, accumulate
 
 __all__ = [
     "MetAssocElem",
@@ -127,7 +127,7 @@ class MetAssocElem:
     def __pow__(self, k: int) -> MetAssocElem:
         if k < 0:
             raise ValueError("negative power in the algebra")
-        result = MetAssocElem.one(self._order())
+        result = MetAssocElem.one(self.order)
         base = self
         while k:
             if k & 1:
@@ -139,6 +139,30 @@ class MetAssocElem:
 
     def commutator(self, other: MetAssocElem) -> MetAssocElem:
         return self * other - other * self
+
+    def linear_image(self, a: CycNum, b: CycNum, c: CycNum, d: CycNum) -> MetAssocElem:
+        """The image under the endomorphism u -> a*u + c*v, v -> b*u + d*v.
+
+        A word u^p v^q maps to (gu)^p (gv)^q, from powers of the two
+        images built once per call.  The commutator block needs no
+        product: [gv, gu] = det(g) [v,u], and left and right
+        multiplication by u, v act on the commutator ideal as the
+        commuting variables u1, v1 and u2, v2, so it maps by det(g) times
+        the commutative substitution g on (u1, v1) and on (u2, v2).
+        """
+        lu, lv = CommPoly.linear(a, c), CommPoly.linear(b, d)
+        images = {IU1: lu.moved(IU1), IV1: lv.moved(IU1), IU2: lu.moved(IU2), IV2: lv.moved(IU2)}
+        out = MetAssocElem.from_comm(self.comm_part.substitute(images).scale(a * d - b * c))
+        gu, gv = MetAssocElem(lu), MetAssocElem(lv)
+        pu, pv = [MetAssocElem.one(a.order)], [MetAssocElem.one(a.order)]
+        for mono, coeff in self.poly_part.terms.items():
+            p, q = mono.exps[IU], mono.exps[IV]
+            while len(pu) <= p:
+                pu.append(pu[-1] * gu)
+            while len(pv) <= q:
+                pv.append(pv[-1] * gv)
+            out = out + (pu[p] * pv[q]).scale(coeff)
+        return out
 
     def homogeneous_component(self, d: int) -> MetAssocElem:
         if d < 0:
@@ -161,7 +185,9 @@ class MetAssocElem:
         degs |= {m.degree() + 2 for m in self.comm_part.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def _order(self) -> int:
+    @property
+    def order(self) -> int:
+        """The cyclotomic order of the coefficients; 4 for zero."""
         for c in self.poly_part.terms.values():
             return c.order
         for c in self.comm_part.terms.values():

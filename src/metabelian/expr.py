@@ -14,10 +14,12 @@ Parentheses and brackets nest at most MAX_NESTING deep; deeper input is
 a syntax error.
 
 x and y are rewritten to (u+v)/2 and (u-v)/(2i) before evaluation, so
-every expression lands in the u, v presentation.  Printing uses only
-grammar atoms whenever the coefficients lie in Q(i), which covers every
-element the language itself can denote; other cyclotomic coefficients
-render in the z(m,k) notation for display only.
+every expression lands in the u, v presentation.  Printing over x, y
+applies the inverse substitution u -> x + i*y, v -> x - i*y with
+``linear_image``; both directions come from ``_xy_matrix``.  Printing
+uses only grammar atoms whenever the coefficients lie in Q(i), which
+covers every element the language itself can denote; other cyclotomic
+coefficients render in the z(m,k) notation for display only.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .assoc import MetAssocElem
 from .cyclo import CycNum, _fraction_text, imag_unit
 from .lie import MetLieElem
-from .poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial
+from .poly import IU, IU1, IU2, IV, IV1, IV2, Monomial
 
 __all__ = [
     "Bracket",
@@ -277,6 +280,36 @@ def parse(text: str):
 
 
 # ----------------------------------------------------------------------
+# The x, y coordinates
+# ----------------------------------------------------------------------
+
+def _xy_matrix(order: int) -> tuple[CycNum, CycNum, CycNum, CycNum]:
+    """u = x + i*y and v = x - i*y, as the arguments (a, b, c, d) of
+    ``linear_image``: u -> a*x + c*y, v -> b*x + d*y."""
+    one, i = CycNum.one(order), imag_unit(order)
+    return one, one, i, -i
+
+
+@lru_cache(maxsize=None)
+def _xy_letters(order: int) -> tuple[MetAssocElem, MetAssocElem]:
+    """x and y over u, v: the images of the two letters under the inverse
+    of ``_xy_matrix``, that is (u+v)/2 and (u-v)/(2i)."""
+    a, b, c, d = _xy_matrix(order)
+    det = a * d - b * c
+    inverse = (d / det, -b / det, -c / det, a / det)
+    return tuple(MetAssocElem.letter(name, order).linear_image(*inverse) for name in "uv")
+
+
+def to_xy(e: MetAssocElem | MetLieElem) -> MetAssocElem | MetLieElem:
+    """Rewrite an element over the generators x, y.
+
+    The result is a canonical element of the same algebra whose u, v
+    slots carry x, y.  Requires coefficients in a field containing i.
+    """
+    return e.linear_image(*_xy_matrix(e.order))
+
+
+# ----------------------------------------------------------------------
 # Evaluation into the associative algebra
 # ----------------------------------------------------------------------
 
@@ -299,13 +332,9 @@ def eval_assoc(node, order: int = 4) -> MetAssocElem:
         case Variable(name="u") | Variable(name="v"):
             value = MetAssocElem.letter(node.name, order)
         case Variable(name="x"):
-            u = MetAssocElem.letter("u", order)
-            v = MetAssocElem.letter("v", order)
-            value = (u + v).scale(Fraction(1, 2))
+            value = _xy_letters(order)[0]
         case Variable(name="y"):
-            u = MetAssocElem.letter("u", order)
-            v = MetAssocElem.letter("v", order)
-            value = (u - v).scale(imag_unit(order) * Fraction(-1, 2))
+            value = _xy_letters(order)[1]
         case Group(inner=inner):
             value = eval_assoc(inner, order)
         case Power(base=b, exponent=k):
@@ -389,54 +418,7 @@ def _comm_mono_text(mono: Monomial, letters: tuple[str, str], bracket: str) -> s
     return "*".join(parts)
 
 
-def to_xy(e: MetAssocElem) -> MetAssocElem:
-    """Rewrite an element over the generators x, y.
-
-    The result is a canonical element whose u, v slots carry x, y: the
-    image of u is x + i*y and of v is x - i*y, multiplied out in the
-    algebra.  Requires coefficients in a field containing i.
-    """
-    order = e._order()
-    iu = imag_unit(order)
-    x = MetAssocElem.letter("u", order)
-    y = MetAssocElem.letter("v", order)
-    img_u = x + y.scale(iu)
-    img_v = x - y.scale(iu)
-    pu: dict[int, MetAssocElem] = {0: MetAssocElem.one(order)}
-    pv: dict[int, MetAssocElem] = {0: MetAssocElem.one(order)}
-
-    def upower(k: int) -> MetAssocElem:
-        while k not in pu:
-            j = max(pu)
-            pu[j + 1] = pu[j] * img_u
-        return pu[k]
-
-    def vpower(k: int) -> MetAssocElem:
-        while k not in pv:
-            j = max(pv)
-            pv[j + 1] = pv[j] * img_v
-        return pv[k]
-
-    bracket = img_v * img_u - img_u * img_v
-    out = MetAssocElem.zero()
-    for mono, c in e.poly_part.terms.items():
-        out = out + (upower(mono.exps[IU]) * vpower(mono.exps[IV])).scale(c)
-    for mono, c in e.comm_part.terms.items():
-        a, b = mono.exps[IU1], mono.exps[IV1]
-        cc, d = mono.exps[IU2], mono.exps[IV2]
-        term = upower(a) * vpower(b) * bracket * upower(cc) * vpower(d)
-        out = out + term.scale(c)
-    return out
-
-
-def _print_assoc(e: MetAssocElem, basis: str) -> str:
-    if basis == "xy":
-        e = to_xy(e)
-        letters, bracket = ("x", "y"), "[y,x]"
-    elif basis == "uv":
-        letters, bracket = ("u", "v"), "[v,u]"
-    else:
-        raise ValueError(f"basis must be 'uv' or 'xy', not {basis!r}")
+def _print_assoc(e: MetAssocElem, letters: tuple[str, str], bracket: str) -> str:
     chunks = [(c, _uv_mono_text(m, letters)) for m, c in e.poly_part.sorted_terms()]
     chunks += [
         (c, _comm_mono_text(m, letters, bracket))
@@ -445,28 +427,13 @@ def _print_assoc(e: MetAssocElem, basis: str) -> str:
     return _join_terms(chunks)
 
 
-def _print_lie(e: MetLieElem, basis: str) -> str:
-    if basis == "xy":
-        order = e.order
-        iu = imag_unit(order)
-        lin_x = e.lin_u + e.lin_v
-        lin_y = (e.lin_u - e.lin_v) * iu
-        one = CycNum.one(order)
-        img_u = CommPoly({Monomial((1, 0)): one, Monomial((0, 1)): iu})
-        img_v = CommPoly({Monomial((1, 0)): one, Monomial((0, 1)): -iu})
-        comm = e.comm.substitute({"u": img_u, "v": img_v}).scale(iu * Fraction(-2))
-        letters, bracket = ("x", "y"), "[y,x]"
-    elif basis == "uv":
-        lin_x, lin_y, comm = e.lin_u, e.lin_v, e.comm
-        letters, bracket = ("u", "v"), "[v,u]"
-    else:
-        raise ValueError(f"basis must be 'uv' or 'xy', not {basis!r}")
+def _print_lie(e: MetLieElem, letters: tuple[str, str], bracket: str) -> str:
     chunks: list[tuple[CycNum, str]] = []
-    if not lin_x.is_zero():
-        chunks.append((lin_x, letters[0]))
-    if not lin_y.is_zero():
-        chunks.append((lin_y, letters[1]))
-    for mono, c in comm.sorted_terms():
+    if not e.lin_u.is_zero():
+        chunks.append((e.lin_u, letters[0]))
+    if not e.lin_v.is_zero():
+        chunks.append((e.lin_v, letters[1]))
+    for mono, c in e.comm.sorted_terms():
         parts = [bracket]
         if mono.exps[IU]:
             parts.append(_power_text(f"ad({letters[0]})", mono.exps[IU]))
@@ -478,8 +445,14 @@ def _print_lie(e: MetLieElem, basis: str) -> str:
 
 def print_elem(e, basis: str = "uv") -> str:
     """Deterministic canonical rendering of an element."""
-    if isinstance(e, MetLieElem):
-        return _print_lie(e, basis)
-    if isinstance(e, MetAssocElem):
-        return _print_assoc(e, basis)
-    raise TypeError(f"cannot print {type(e).__name__}")
+    if not isinstance(e, (MetAssocElem, MetLieElem)):
+        raise TypeError(f"cannot print {type(e).__name__}")
+    if basis == "xy":
+        e = to_xy(e)
+        letters, bracket = ("x", "y"), "[y,x]"
+    elif basis == "uv":
+        letters, bracket = ("u", "v"), "[v,u]"
+    else:
+        raise ValueError(f"basis must be 'uv' or 'xy', not {basis!r}")
+    render = _print_lie if isinstance(e, MetLieElem) else _print_assoc
+    return render(e, letters, bracket)

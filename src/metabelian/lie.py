@@ -10,7 +10,7 @@ ad, which is what makes this coordinate form a basis.
 from __future__ import annotations
 
 from .cyclo import CycNum
-from .poly import CommPoly, Monomial
+from .poly import IU, IU1, IU2, IV, CommPoly
 
 __all__ = [
     "MetLieElem",
@@ -74,21 +74,28 @@ class MetLieElem:
     def scale(self, c) -> MetLieElem:
         return MetLieElem(self.lin_u * c, self.lin_v * c, self.comm.scale(c))
 
-    def _linear_poly(self) -> CommPoly:
-        terms = {}
-        if not self.lin_u.is_zero():
-            terms[Monomial((1, 0))] = self.lin_u
-        if not self.lin_v.is_zero():
-            terms[Monomial((0, 1))] = self.lin_v
-        return CommPoly(terms)
-
     def bracket(self, other: MetLieElem) -> MetLieElem:
         """Lie bracket; brackets of two commutator terms vanish."""
         c = self.lin_v * other.lin_u - self.lin_u * other.lin_v
         comm = CommPoly.constant(c) if not c.is_zero() else CommPoly.zero()
-        comm = comm + self.comm * other._linear_poly()
-        comm = comm - other.comm * self._linear_poly()
+        comm = comm + self.comm * CommPoly.linear(other.lin_u, other.lin_v)
+        comm = comm - other.comm * CommPoly.linear(self.lin_u, self.lin_v)
         return MetLieElem.from_comm(comm, order=self.order)
+
+    def linear_image(self, a: CycNum, b: CycNum, c: CycNum, d: CycNum) -> MetLieElem:
+        """The image under the endomorphism u -> a*u + c*v, v -> b*u + d*v.
+
+        The linear part maps through the matrix.  The commutator ideal
+        maps with no bracket: [gv, gu] = det(g) [v,u], and ad(u), ad(v)
+        act on it as the commuting variables u, v, so it maps by det(g)
+        times the commutative substitution g.
+        """
+        images = {IU: CommPoly.linear(a, c), IV: CommPoly.linear(b, d)}
+        return MetLieElem(
+            a * self.lin_u + b * self.lin_v,
+            c * self.lin_u + d * self.lin_v,
+            self.comm.substitute(images).scale(a * d - b * c),
+        )
 
     def module_action(self, f: CommPoly) -> MetLieElem:
         """Act by a polynomial through ad; defined on the commutator ideal only."""
@@ -147,31 +154,6 @@ def embed_assoc(e: MetLieElem):
     """
     from .assoc import MetAssocElem
 
-    order = e.order
-    one = CycNum.one(order)
-    poly_terms = {}
-    if not e.lin_u.is_zero():
-        poly_terms[Monomial((1, 0))] = e.lin_u
-    if not e.lin_v.is_zero():
-        poly_terms[Monomial((0, 1))] = e.lin_v
-
-    ad_u = CommPoly(
-        {Monomial.from_exponents({"u2": 1}): one, Monomial.from_exponents({"u1": 1}): -one}
-    )
-    ad_v = CommPoly(
-        {Monomial.from_exponents({"v2": 1}): one, Monomial.from_exponents({"v1": 1}): -one}
-    )
-    powers_u: dict[int, CommPoly] = {0: CommPoly.constant(one)}
-    powers_v: dict[int, CommPoly] = {0: CommPoly.constant(one)}
-
-    comm = CommPoly.zero()
-    for mono, c in e.comm.terms.items():
-        a, b = mono.exps[0], mono.exps[1]
-        for k in range(1, a + 1):
-            if k not in powers_u:
-                powers_u[k] = powers_u[k - 1] * ad_u
-        for k in range(1, b + 1):
-            if k not in powers_v:
-                powers_v[k] = powers_v[k - 1] * ad_v
-        comm = comm + (powers_u[a] * powers_v[b]).scale(c)
-    return MetAssocElem(CommPoly(poly_terms), comm)
+    u, v = CommPoly.variable("u", e.order), CommPoly.variable("v", e.order)
+    ad = {IU: u.moved(IU2) - u.moved(IU1), IV: v.moved(IU2) - v.moved(IU1)}
+    return MetAssocElem(CommPoly.linear(e.lin_u, e.lin_v), e.comm.substitute(ad))

@@ -64,11 +64,6 @@ class Monomial:
             exps[_VAR_INDEX[name]] = e
         return cls(exps)
 
-    @property
-    def exponents(self) -> dict[str, int]:
-        """Exponent map with no zero entries stored."""
-        return {VARIABLES[j]: e for j, e in enumerate(self.exps) if e}
-
     def degree(self) -> int:
         return sum(self.exps)
 
@@ -126,6 +121,11 @@ class CommPoly:
         return cls._make({mono: CycNum.one(order)})
 
     @classmethod
+    def linear(cls, cu: CycNum, cv: CycNum) -> CommPoly:
+        """The linear form cu*u + cv*v."""
+        return cls({Monomial((1,)): cu, Monomial((0, 1)): cv})
+
+    @classmethod
     def term(cls, mono: Monomial, coeff: CycNum) -> CommPoly:
         return cls({mono: coeff})
 
@@ -164,34 +164,28 @@ class CommPoly:
             return CommPoly.zero()
         return CommPoly({m: v * c for m, v in self.terms.items()})
 
-    def power(self, k: int) -> CommPoly:
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        if not self.terms:
-            return CommPoly.zero() if k else _one_like(self)
-        result = CommPoly.constant(CycNum.one(next(iter(self.terms.values())).order))
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def substitute(self, images: dict[str, CommPoly]) -> CommPoly:
-        """Apply the ring homomorphism sending each variable to its image."""
-        cache: dict[tuple[str, int], CommPoly] = {}
-        out = CommPoly.zero()
+    def substitute(self, images: dict[int, CommPoly]) -> CommPoly:
+        """Apply the ring homomorphism sending the variable at each slot
+        (IU .. IV2) to its image.  The powers of each image are built once
+        per call."""
+        powers: dict[int, list[CommPoly]] = {}
+        out: dict[Monomial, CycNum] = {}
         for mono, coeff in self.terms.items():
-            acc = CommPoly.constant(coeff)
-            for name, e in mono.exponents.items():
-                img = images.get(name)
-                if img is None:
-                    raise ValueError(f"no image given for variable {name!r}")
-                key = (name, e)
-                p = cache.get(key)
-                if p is None:
-                    p = img.power(e)
-                    cache[key] = p
-                acc = acc * p
-            out = out + acc
-        return out
+            acc = CommPoly._make({MONO_ONE: coeff})
+            for slot, e in enumerate(mono.exps):
+                if not e:
+                    continue
+                table = powers.get(slot)
+                if table is None:
+                    if slot not in images:
+                        raise ValueError(f"no image given for variable {VARIABLES[slot]!r}")
+                    table = powers[slot] = [images[slot]]
+                while len(table) < e:
+                    table.append(table[-1] * table[0])
+                acc = acc * table[e - 1]
+            for m, c in acc.terms.items():
+                accumulate(out, m, c)
+        return CommPoly._make(out)
 
     def moved(self, slot: int) -> CommPoly:
         """A polynomial in u, v rewritten in the variables at ``slot`` and
@@ -241,11 +235,6 @@ class CommPoly:
             else:
                 parts.append(f"{ctext}*{mtext}")
         return " + ".join(parts)
-
-
-def _one_like(p: CommPoly) -> CommPoly:
-    order = next(iter(p.terms.values())).order
-    return CommPoly.constant(CycNum.one(order))
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,20 @@ def random_cyc(rng: Random, order: int, nonzero: bool = False) -> CycNum:
             return c
 
 
+def random_matrix(rng: Random, order: int = 4) -> tuple[CycNum, ...]:
+    """An invertible (a, b, c, d) over Q(i), for linear_image's
+    u -> a*u + c*v, v -> b*u + d*v."""
+    while True:
+        a, b, c, d = (random_gaussian(rng, order) for _ in range(4))
+        if not (a * d - b * c).is_zero():
+            return a, b, c, d
+
+
+def inverse_matrix(a, b, c, d) -> tuple[CycNum, ...]:
+    det = a * d - b * c
+    return d / det, -b / det, -c / det, a / det
+
+
 def random_assoc(
     rng: Random,
     order: int = 4,

@@ -7,7 +7,7 @@ import pytest
 from metabelian.assoc import MetAssocElem, basis, commutator, from_word
 from metabelian.cyclo import CycNum
 from metabelian.poly import CommPoly, Monomial
-from helpers import random_assoc, random_word
+from helpers import inverse_matrix, random_assoc, random_matrix, random_word
 
 
 def _mono(*exps):
@@ -136,3 +136,21 @@ def test_word_concat_randomized():
     for _ in range(100):
         w1, w2 = random_word(rng, 5), random_word(rng, 5)
         assert from_word(w1) * from_word(w2) == from_word(w1 + w2)
+
+
+def test_linear_image_is_a_homomorphism():
+    rng = Random(73)
+    for _ in range(30):
+        g = random_matrix(rng)
+        e1 = random_assoc(rng, max_degree=4, terms=3)
+        e2 = random_assoc(rng, max_degree=3, terms=3)
+        lhs = (e1 * e2).linear_image(*g)
+        assert lhs == e1.linear_image(*g) * e2.linear_image(*g)
+
+
+def test_linear_image_inverse_round_trip():
+    rng = Random(79)
+    for _ in range(20):
+        g = random_matrix(rng)
+        e = random_assoc(rng, max_degree=6, terms=4)
+        assert e.linear_image(*g).linear_image(*inverse_matrix(*g)) == e

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -173,6 +174,23 @@ def test_verify_cst(capsys):
     code, out, _ = _run(capsys, "verify", "cst", "--n", "5", "--json")
     payload = json.loads(out)
     assert payload["ok"] is True and payload["degrees"] == []
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_verify_cst_huge_n_is_bounded():
+    # checks rho and tau only, so n = 10^8 needs neither the group list
+    # nor more than 1 GiB (the limit applies to the child alone)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metabelian.cli", "verify", "cst", "--n", "100000000", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
 
 
 def test_verify_exit_1_on_any_mismatch(capsys, monkeypatch):

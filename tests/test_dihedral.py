@@ -20,7 +20,7 @@ from metabelian.dihedral import (
     rotation_weight,
 )
 from metabelian.lie import MetLieElem, embed_assoc
-from metabelian.poly import CommPoly, Monomial
+from metabelian.poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial
 from helpers import (
     group_average,
     random_assoc,
@@ -160,6 +160,36 @@ def test_embedding_equivariance():
             e = random_lie(rng, order=m, max_degree=4)
             for g in group_elements(n):
                 assert embed_assoc(act_lie(g, e)) == act_assoc(g, embed_assoc(e))
+
+
+def _monomial_matrix(g):
+    """g as linear_image's (a, b, c, d): diag(xi^k, xi^-k) for rho^k,
+    then the swap for tau rho^k."""
+    xi, xi_inv = rotation_scalar(g.n, g.rot), rotation_scalar(g.n, -g.rot)
+    zero = CycNum.zero(xi.order)
+    return (zero, xi_inv, xi, zero) if g.flip else (xi, zero, zero, xi_inv)
+
+
+def test_action_is_the_linear_substitution():
+    # act_* is the general substitution at the monomial matrix of g
+    rng = Random(101)
+    for n in (3, 4):
+        m = ambient_order(n)
+        for g in group_elements(n):
+            a, b, c, d = _monomial_matrix(g)
+            e = random_assoc(rng, m, 5, 5, random_cyc)
+            assert act_assoc(g, e) == e.linear_image(a, b, c, d)
+            lie = random_lie(rng, m, 6, 4, random_cyc)
+            assert act_lie(g, lie) == lie.linear_image(a, b, c, d)
+            lu, lv = CommPoly.linear(a, c), CommPoly.linear(b, d)
+            p = random_comm_poly(rng, ("u", "v"), m, 6, 5, random_cyc)
+            assert act_uv(g, p) == p.substitute({IU: lu, IV: lv})
+            t = random_comm_poly(rng, ("u1", "v1", "u2", "v2"), m, 5, 5, random_cyc)
+            images = {
+                IU1: lu.moved(IU1), IV1: lv.moved(IU1),
+                IU2: lu.moved(IU2), IV2: lv.moved(IU2),
+            }
+            assert act_tensor(g, t) == t.substitute(images)
 
 
 def test_commutative_action():

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from metabelian import cli
 from metabelian.assoc import MetAssocElem, from_word
 from metabelian.cyclo import CycNum, imag_unit
 from metabelian.expr import (
@@ -147,3 +148,70 @@ def test_unknown_character_is_positioned():
     with pytest.raises(ExprSyntaxError) as err:
         parse("u + é")
     assert err.value.offset == 4
+
+
+# Grammar-valid random text: each helper is one production of the grammar
+# and returns (text, degree), the degree counting letters with '^'
+# multiplying, so a tree stays within its degree budget.
+
+def _gen_expr(rng, budget, depth, head_minus=True):
+    parts, deg = [], 0
+    for k in range(rng.randint(1, 3)):
+        text, d = _gen_term(rng, budget, depth)
+        if k:
+            parts.append(rng.choice((" + ", " - ")))
+        elif head_minus and rng.random() < 0.3:
+            parts.append("-")
+        parts.append(text)
+        deg = max(deg, d)
+    return "".join(parts), deg
+
+
+def _gen_term(rng, budget, depth):
+    factors, deg = [], 0
+    for _ in range(rng.randint(1, 3)):
+        text, d = _gen_factor(rng, budget - deg, depth)
+        factors.append(text)
+        deg += d
+    return "*".join(factors), deg
+
+
+def _gen_factor(rng, budget, depth):
+    text, d = _gen_atom(rng, budget, depth)
+    if rng.random() < 0.3:
+        k = rng.randint(0, 3) if d == 0 else rng.randint(0, budget // d)
+        return f"{text}^{k}", d * k
+    return text, d
+
+
+def _gen_atom(rng, budget, depth):
+    r = rng.random() if budget else 1.0
+    if r < 0.45:
+        return rng.choice("uvxy"), 1
+    if depth < 3 and r < 0.6:
+        left, dl = _gen_expr(rng, budget, depth + 1)
+        right, dr = _gen_expr(rng, budget - dl, depth + 1)
+        return f"[{left},{right}]", dl + dr
+    if depth < 3 and r < 0.75:
+        inner, d = _gen_expr(rng, budget, depth + 1)
+        return f"({inner})", d
+    if r < 0.85:
+        return "i", 0
+    num = str(rng.randint(0, 9))
+    return (num if rng.random() < 0.5 else f"{num}/{rng.randint(1, 9)}"), 0
+
+
+def test_grammar_round_trip_fuzz(capsys):
+    # eval, print in each basis, parse and eval again: the same element.
+    # The head of the whole text carries no '-', which argparse would
+    # read as an option.
+    rng = Random(103)
+    for _ in range(60):
+        text, deg = _gen_expr(rng, 6, 0, head_minus=False)
+        assert deg <= 6
+        e = eval_assoc(parse(text))
+        assert e.degree() <= 6
+        for basis in ("uv", "xy"):
+            assert eval_assoc(parse(print_elem(e, basis))) == e
+            assert cli.main(["canon", "--basis", basis, text]) == 0
+    capsys.readouterr()

@@ -6,7 +6,7 @@ from metabelian.assoc import MetAssocElem, commutator
 from metabelian.cyclo import CycNum
 from metabelian.lie import MetLieElem, bracket, embed_assoc
 from metabelian.poly import CommPoly, Monomial
-from helpers import random_lie
+from helpers import inverse_matrix, random_lie, random_matrix
 
 
 def _u(order=4):
@@ -127,3 +127,29 @@ def test_degrees():
     assert _comm(1, 2).homogeneous_degree() == 5
     assert e.homogeneous_component(1) == _u()
     assert e.homogeneous_component(5) == _comm(1, 2)
+
+
+def test_linear_image_is_a_homomorphism():
+    rng = Random(83)
+    for _ in range(40):
+        g = random_matrix(rng)
+        e1 = random_lie(rng, max_degree=5)
+        e2 = random_lie(rng, max_degree=5)
+        lhs = bracket(e1, e2).linear_image(*g)
+        assert lhs == bracket(e1.linear_image(*g), e2.linear_image(*g))
+
+
+def test_linear_image_inverse_round_trip():
+    rng = Random(89)
+    for _ in range(40):
+        g = random_matrix(rng)
+        e = random_lie(rng, max_degree=7, terms=4)
+        assert e.linear_image(*g).linear_image(*inverse_matrix(*g)) == e
+
+
+def test_embedding_commutes_with_linear_image():
+    rng = Random(97)
+    for _ in range(30):
+        g = random_matrix(rng)
+        e = random_lie(rng, max_degree=5)
+        assert embed_assoc(e.linear_image(*g)) == embed_assoc(e).linear_image(*g)

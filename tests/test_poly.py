@@ -2,8 +2,8 @@ from random import Random
 
 import pytest
 
-from metabelian.cyclo import ambient_order, imag_unit, root_of_unity
-from metabelian.poly import CommPoly, Monomial, RationalSeries
+from metabelian.cyclo import CycNum, ambient_order, imag_unit, root_of_unity
+from metabelian.poly import IU, IV, CommPoly, Monomial, RationalSeries
 from helpers import random_cyc
 
 
@@ -12,7 +12,10 @@ def _var(name, order=4):
 
 
 def _pow(p, k):
-    return p.power(k)
+    out = CommPoly.constant(CycNum.one(4))
+    for _ in range(k):
+        out = out * p
+    return out
 
 
 def test_ring_examples():
@@ -36,14 +39,14 @@ def test_substitute_rotation_fixes_uv():
     xi = root_of_unity(m, m // n)
     u, v = _var("u", m), _var("v", m)
     p = u * v
-    images = {"u": u.scale(xi), "v": v.scale(xi.conj())}
+    images = {IU: u.scale(xi), IV: v.scale(xi.conj())}
     assert p.substitute(images) == p
 
 
 def test_substitute_swap_fixes_power_sum():
     u, v = _var("u"), _var("v")
     p = _pow(u, 3) + _pow(v, 3)
-    assert p.substitute({"u": v, "v": u}) == p
+    assert p.substitute({IU: v, IV: u}) == p
 
 
 def test_substitute_into_xy():
@@ -52,20 +55,20 @@ def test_substitute_into_xy():
     u = _var("u", order)
     u1, v1 = _var("u1", order), _var("v1", order)
     img = u1 + v1.scale(imag_unit(order))
-    assert u.substitute({"u": img}) == img
+    assert u.substitute({IU: img}) == img
 
 
 def test_substitute_missing_image():
     u, v = _var("u"), _var("v")
     with pytest.raises(ValueError):
-        (u * v).substitute({"u": u})
+        (u * v).substitute({IU: u})
 
 
 def test_substitute_is_multiplicative():
     rng = Random(3)
     order = 12
     u, v = _var("u", order), _var("v", order)
-    images = {"u": u + v.scale(random_cyc(rng, order)), "v": u * v + v}
+    images = {IU: u + v.scale(random_cyc(rng, order)), IV: u * v + v}
     for _ in range(20):
         p = CommPoly.zero()
         q = CommPoly.zero()
@@ -75,12 +78,6 @@ def test_substitute_is_multiplicative():
             mono = Monomial((rng.randint(0, 2), rng.randint(0, 2)))
             q = q + CommPoly.term(mono, random_cyc(rng, order))
         assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
-
-
-def test_monomial_exponent_map_has_no_zeros():
-    mono = Monomial((2, 0, 1))
-    assert mono.exponents == {"u": 2, "u1": 1}
-    assert mono.degree() == 3
 
 
 def test_homogeneous_helpers():
