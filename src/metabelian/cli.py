@@ -166,7 +166,13 @@ def _cmd_hilbert(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse takes an expression whose head is "-", such as "-u*v",
+    # for an unknown option and leaves the positional unset
+    if len(extra) == 1 and getattr(args, "expression", "") is None:
+        args.expression = extra.pop()
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except ExprSyntaxError as exc:

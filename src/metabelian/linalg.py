@@ -1,14 +1,24 @@
-"""Exact row reduction over the cyclotomic field with monic pivots.
+"""Exact row reduction over the cyclotomic field.
 
-Rows are sparse {column: CycNum} maps with no zero entries.  Every
-stored pivot row is scaled at insertion so that its leading entry is 1;
-elimination is then row <- row - a*pivot, which never scales the row
-being reduced.  The one inversion per kept row is a rational division
-whenever the leading entry is rational, as on every verification path.
-Pivoting is deterministic: always the smallest remaining column.
+Rows are sparse {column: CycNum} maps with no zero entries.  Pivoting
+is deterministic: always the smallest remaining column.
+
+While every row an echelon has seen is rational, as on every
+verification path, it eliminates fraction-free over the integers: a
+row's denominators are cleared by their lcm, each stored pivot is a
+primitive integer row with a positive lead, and a step is
+row <- b*row - a*pivot, where (a, b) are the two lead entries divided
+by their gcd (Bareiss, Math. Comp. 22, 1968).  The residual is the
+integer row divided by the product of the b's, so it is exactly the
+residual of monic elimination.  The first row with a non-rational entry
+turns the stored pivots monic, once, and from then on elimination is
+row <- row - a*pivot over the field.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .cyclo import CycNum
 from .poly import accumulate
@@ -18,14 +28,78 @@ __all__ = ["RowEchelon", "express_in_span", "rank_of"]
 Row = dict
 
 
+def _integer_row(row: Row) -> tuple[dict[int, int], int] | None:
+    """(den * row as integers, den) for a rational row, else None."""
+    fracs = {}
+    for c, v in row.items():
+        coeffs = v.coeffs
+        if coeffs:
+            q = coeffs.get(0)
+            if q is None or len(coeffs) != 1:
+                return None
+            fracs[c] = q
+    den = lcm(*(q.denominator for q in fracs.values()))
+    return {c: q.numerator * (den // q.denominator) for c, q in fracs.items()}, den
+
+
+def _rational_row(order: int, row: dict[int, int], den: int) -> Row:
+    return {c: CycNum._make(order, {0: Fraction(v, den)}) for c, v in row.items()}
+
+
 class RowEchelon:
     """An incrementally maintained echelon basis of a row space."""
 
     def __init__(self):
         self._pivots: dict[int, Row] = {}
+        # True while the pivots are primitive integer rows
+        self._integral = True
+        self._order = 0
+
+    def _reduce_integral(self, row: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
+        """Integer residual r and scale s of a row given as (scale * row,
+        scale): the exact residual is r / s."""
+        pivots = self._pivots
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            a = row[lead]
+            b = piv[lead]
+            g = gcd(a, b)
+            a //= g
+            if b != g:
+                b //= g
+                scale *= b
+                row = {c: v * b for c, v in row.items()}
+            for c, v in piv.items():
+                x = row.get(c, 0) - a * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+        return row, scale
+
+    def _integer_input(self, row: Row) -> tuple[dict[int, int], int] | None:
+        """The row for the integer path, or None once the echelon is over
+        the field; the first non-rational row makes the pivots monic."""
+        if self._integral:
+            ints = _integer_row(row)
+            if ints is not None:
+                return ints
+            self._integral = False
+            self._pivots = {
+                lead: _rational_row(self._order, piv, piv[lead])
+                for lead, piv in self._pivots.items()
+            }
+        return None
 
     def reduce(self, row: Row) -> Row:
         """Residual of a row after elimination against the stored pivots."""
+        ints = self._integer_input(row)
+        if ints is not None:
+            r, scale = self._reduce_integral(*ints)
+            return _rational_row(next(iter(row.values())).order, r, scale) if r else {}
         row = {c: v for c, v in row.items() if not v.is_zero()}
         while row:
             lead = min(row)
@@ -39,6 +113,18 @@ class RowEchelon:
 
     def insert(self, row: Row) -> bool:
         """Add a row; True when it enlarged the span."""
+        ints = self._integer_input(row)
+        if ints is not None:
+            r, _ = self._reduce_integral(*ints)
+            if not r:
+                return False
+            lead = min(r)
+            g = gcd(*r.values())
+            if r[lead] < 0:
+                g = -g
+            self._pivots[lead] = {c: v // g for c, v in r.items()}
+            self._order = next(iter(row.values())).order
+            return True
         r = self.reduce(row)
         if not r:
             return False
@@ -55,7 +141,14 @@ class RowEchelon:
         return len(self._pivots)
 
     def rows(self) -> list[Row]:
-        return [self._pivots[c] for c in sorted(self._pivots)]
+        """The stored pivot rows as monic CycNum rows, by lead column."""
+        pivots = self._pivots
+        if self._integral:
+            return [
+                _rational_row(self._order, pivots[c], pivots[c][c])
+                for c in sorted(pivots)
+            ]
+        return [pivots[c] for c in sorted(pivots)]
 
 
 def rank_of(rows) -> int:

@@ -105,6 +105,40 @@ def test_reynolds(capsys):
     assert out.strip() == "1/2*u^3 + 1/2*v^3"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("canon", "{}"),
+        ("canon", "--basis", "xy", "{}"),
+        ("canon", "{}", "--basis", "xy"),
+        ("reynolds", "--n", "3", "{}"),
+        ("reynolds", "{}", "--n", "3", "--basis", "xy"),
+    ],
+)
+@pytest.mark.parametrize("text", ["-u", "-u*v", "-1/2*[u,v] + v"])
+def test_expression_with_leading_minus(capsys, monkeypatch, argv, text):
+    import io
+
+    options = [a for a in argv if a != "{}"]
+    expected = _run(capsys, *options, "--", text)
+    assert expected[0] == 0
+    assert _run(capsys, *(text if a == "{}" else a for a in argv)) == expected
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert _run(capsys, *options) == expected
+
+
+def test_leading_minus_keeps_options_and_usage_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["canon", "-h"])
+    assert exc.value.code == 0
+    assert "--basis" in capsys.readouterr().out
+    for argv in (["canon", "u", "-v"], ["canon", "-u", "-v"], ["verify", "assoc", "--n", "3", "-u"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "assoc", "--n", "2"])

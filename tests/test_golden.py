@@ -2,7 +2,11 @@
 
 ``tests/data/verify_<target>_n<n>.json`` holds the stdout of
 ``metabelian verify <target> --n <n> --json`` as it was before the
-invariant bases were rebuilt from tau-orbit sums.  ``tests/data/canon.json``
+invariant bases were rebuilt from tau-orbit sums, and
+``verify_assoc_n3_d20.json`` that of ``verify assoc --n 3 --max-deg 20
+--json`` as it was before rational rows were eliminated over the
+integers: its 2043 product rows are deep enough for pivot growth to
+show, which degree 12 is not.  ``tests/data/canon.json``
 holds argv, exit code and stdout of ``canon`` and ``reynolds`` in both
 bases, as they were before the x,y rewrite became one linear
 substitution: the README examples, u,v text, x,y text, mixed text and
@@ -37,6 +41,13 @@ GOLDEN = [
 def test_verify_report_matches_golden(capsys, target, n, code):
     assert cli.main(["verify", target, "--n", str(n), "--json"]) == code
     expected = (DATA / f"verify_{target}_n{n}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_deep_assoc_report_matches_golden(capsys):
+    argv = ["verify", "assoc", "--n", "3", "--max-deg", "20", "--json"]
+    assert cli.main(argv) == 1
+    expected = (DATA / "verify_assoc_n3_d20.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 

@@ -1,4 +1,8 @@
 from fractions import Fraction
+from math import gcd
+from random import Random
+
+import pytest
 
 from metabelian.cyclo import CycNum, imag_unit
 from metabelian.linalg import RowEchelon, express_in_span, rank_of
@@ -57,3 +61,140 @@ def test_express_handles_dependent_generators():
     assert coeffs is not None
     total = coeffs[0] * 1 + coeffs[1] * 2
     assert total == _c(6)
+
+
+# ----------------------------------------------------------------------
+# Oracle: plain field elimination written here, independent of linalg
+# ----------------------------------------------------------------------
+
+class _Reference:
+    """Incremental monic elimination on plain field values (Fraction, or
+    CycNum for the mixed case), smallest lead first: the residual and the
+    stored rows that RowEchelon must reproduce exactly."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, row):
+        row = {c: v for c, v in row.items() if v}
+        while row and min(row) in self.pivots:
+            a = row[min(row)]
+            for c, v in self.pivots[min(row)].items():
+                x = row.get(c, 0) - a * v
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+        return row
+
+    def insert(self, row):
+        r = self.reduce(row)
+        if r:
+            p = r[min(r)]
+            self.pivots[min(r)] = {c: v / p for c, v in r.items()}
+        return bool(r)
+
+
+def _rref(rows, width):
+    """Gauss-Jordan normal form of the span: dense rows by pivot column."""
+    mat = [[row.get(c, 0) for c in range(width)] for row in rows]
+    out, col = [], 0
+    while mat and col < width:
+        k = next((k for k, r in enumerate(mat) if r[col]), None)
+        if k is None:
+            col += 1
+            continue
+        piv = mat.pop(k)
+        piv = [v / piv[col] for v in piv]
+        mat = [[x - r[col] * y for x, y in zip(r, piv)] for r in mat]
+        out = [[x - r[col] * y for x, y in zip(r, piv)] for r in out]
+        out.append(piv)
+        col += 1
+    return [tuple(r) for r in out]
+
+
+def _random_rational_rows(rng, count, width):
+    """Sparse rows with denominators and signed leads; about a third are
+    rational combinations of earlier rows, and one is all zero."""
+    rows = [{}]
+    while len(rows) < count:
+        if len(rows) > 2 and rng.random() < 0.35:
+            row = {}
+            for src in rng.sample(rows, 3):
+                k = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                for c, v in src.items():
+                    row[c] = row.get(c, 0) + k * v
+        else:
+            row = {
+                c: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+                for c in rng.sample(range(width), rng.randint(1, 6))
+            }
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+def _as_cyc(row, order):
+    # explicit zero entries are kept: RowEchelon must ignore them
+    return {
+        c: v if isinstance(v, CycNum) else CycNum.from_rational(order, v)
+        for c, v in row.items()
+    }
+
+
+def _check_against_reference(rows, queries, order, width):
+    ech, ref = RowEchelon(), _Reference()
+    for row, query in zip(rows, queries):
+        assert ech.insert(_as_cyc(row, order)) == ref.insert(row)
+        assert ech.rank == len(ref.pivots)
+        got = ech.reduce(_as_cyc(query, order))
+        assert got == _as_cyc(ref.reduce(query), order)
+        assert all(v.order == order for v in got.values())
+    got_rows = ech.rows()
+    assert got_rows == [_as_cyc(ref.pivots[c], order) for c in sorted(ref.pivots)]
+    assert all(row[min(row)] == 1 for row in got_rows)
+    assert _rref(got_rows, width) == _rref([_as_cyc(r, order) for r in rows], width)
+    return ech
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_rows_match_fraction_reference(seed):
+    rng = Random(seed)
+    width = 20
+    rows = _random_rational_rows(rng, 40, width)
+    queries = _random_rational_rows(rng, 40, width)
+    ech = _check_against_reference(rows, queries, 12, width)
+    # rational input never leaves the integer path: primitive rows, positive leads
+    for lead, piv in ech._pivots.items():
+        assert all(type(v) is int for v in piv.values())
+        assert piv[lead] > 0 and gcd(*piv.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mixed_echelon_matches_reference(seed):
+    rng = Random(100 + seed)
+    width = 16
+    i = imag_unit(4)
+    before = _random_rational_rows(rng, 12, width)
+    after = _random_rational_rows(rng, 16, width)
+    gaussian = {c: CycNum.from_rational(4, v) for c, v in after[3].items()}
+    gaussian[rng.randrange(width)] = i * Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    rows = [_as_cyc(r, 4) for r in before] + [gaussian] + [_as_cyc(r, 4) for r in after]
+    queries = [_as_cyc(r, 4) for r in _random_rational_rows(rng, len(rows), width)]
+    # the switch to the field comes from a query on odd seeds, else from
+    # inserting the Gaussian row
+    if seed % 2:
+        queries[len(before) - 1] = dict(gaussian)
+    queries[len(before) + 4] = dict(gaussian)
+    _check_against_reference(rows, queries, 4, width)
+
+
+def test_integer_step_divides_leads_by_their_gcd():
+    ech = RowEchelon()
+    assert ech.insert({0: _c(Fraction(4, 3)), 1: _c(Fraction(2, 3))})
+    assert ech._pivots == {0: {0: 2, 1: 1}}
+    # leads 6 and 2 share 2: row - 3*pivot, with no scaling
+    assert ech._reduce_integral({0: 6, 1: 5}, 1) == ({1: 2}, 1)
+    # leads 3 and 2 are coprime: 2*row - 3*pivot, scale 2
+    assert ech._reduce_integral({0: 3, 1: 5}, 1) == ({1: 7}, 2)
+    assert ech.reduce({0: _c(3), 1: _c(5)}) == {1: _c(Fraction(7, 2))}
