@@ -57,6 +57,36 @@ def _cross_term(p1: CommPoly, p2: CommPoly) -> CommPoly:
     return CommPoly._make(out)
 
 
+def _word_times(word: tuple[int, ...], in_comm: bool, poly_terms, comm_terms) -> dict:
+    """Integer image of one basis word under right multiplication.
+
+    ``word`` is the exponent tuple of u^a v^b or, when ``in_comm``, of
+    the commutator word u1^a v1^b u2^c v2^d; ``poly_terms`` and
+    ``comm_terms`` are the (exponents, int) pairs of the right factor's
+    two parts.  The rules of ``__mul__`` on exponent tuples: u^a v^b
+    times u^c v^d is u^(a+c) v^(b+d) plus the cross monomials of
+    ``_cross_term``, a word times a commutator term shifts it on the
+    left, a commutator term times a word shifts it on the right, and
+    two commutator terms multiply to 0.  The image is keyed by exponent
+    tuples, which tell the two parts apart in a positive degree.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    if in_comm:
+        _, _, a1, b1, c1, d1 = word
+        for (c, d, *_), x in poly_terms:
+            accumulate(out, (0, 0, a1, b1, c1 + c, d1 + d), x)
+        return out
+    a, b = word[0], word[1]
+    for (c, d, *_), x in poly_terms:
+        accumulate(out, (a + c, b + d, 0, 0, 0, 0), x)
+        for i in range(c):
+            for j in range(b):
+                accumulate(out, (0, 0, a + i, j, c - 1 - i, b - 1 - j + d), x)
+    for (_, _, a2, b2, c2, d2), x in comm_terms:
+        accumulate(out, (0, 0, a + a2, b + b2, c2, d2), x)
+    return out
+
+
 class MetAssocElem:
     """An element of the rank-2 free metabelian associative algebra."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import assoc
-from .assoc import MetAssocElem, _comm_monomial, basis_monomials, uv_monomials
+from .assoc import MetAssocElem, _comm_monomial, _word_times, basis_monomials, uv_monomials
 from .cyclo import CycNum, ambient_order
 from .dihedral import (
     DihedralElement,
@@ -28,13 +28,14 @@ from .dihedral import (
     swap,
 )
 from .lie import MetLieElem
-from .linalg import RowEchelon, express_in_span
+from .linalg import RowEchelon, _integer_row, _rational_row, express_in_span
 from .poly import (
     IU1,
     IU2,
     CommPoly,
     Monomial,
     RationalSeries,
+    accumulate,
     intpoly_add,
     intpoly_mul,
 )
@@ -86,21 +87,19 @@ class DegreeReport:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _assoc_index(d: int) -> dict[Monomial, int]:
+def _assoc_index(d: int) -> dict[tuple[int, ...], int]:
+    """Columns of the degree-d basis, keyed by exponent tuple."""
     poly, comm = basis_monomials(d)
-    index = {m: j for j, m in enumerate(poly)}
-    off = len(poly)
-    index.update({m: off + j for j, m in enumerate(comm)})
-    return index
+    return {m.exps: j for j, m in enumerate(poly + comm)}
 
 
 def _assoc_row(e: MetAssocElem, d: int) -> dict[int, CycNum]:
     index = _assoc_index(d)
     row: dict[int, CycNum] = {}
     for m, c in e.poly_part.terms.items():
-        row[index[m]] = c
+        row[index[m.exps]] = c
     for m, c in e.comm_part.terms.items():
-        row[index[m]] = c
+        row[index[m.exps]] = c
     return row
 
 
@@ -311,54 +310,86 @@ def corner_generator_relation(n: int) -> tuple[MetAssocElem, MetAssocElem]:
 # Subalgebra generation check
 # ----------------------------------------------------------------------
 
+def _product_rows(graded, span: dict, d: int):
+    """The integer rows of s * g, generator by generator, each s a span
+    representative of degree d - deg(g), in the order of ``graded``.
+
+    s * g is the sum of s[j] times the image of the basis word j under
+    right multiplication by g.  The images come from the closed form
+    ``assoc._word_times`` and are kept in one map per generator and
+    source degree, filled as the representatives reach their columns.
+    """
+    index = _assoc_index(d)
+    for dg, poly_terms, comm_terms in graded:
+        if d < dg:
+            continue
+        poly, comm = basis_monomials(d - dg)
+        images: dict[int, dict[int, int]] = {}
+        for s in span.get(d - dg, ()):
+            row: dict[int, int] = {}
+            for j, x in s.items():
+                image = images.get(j)
+                if image is None:
+                    in_comm = j >= len(poly)
+                    word = comm[j - len(poly)] if in_comm else poly[j]
+                    terms = _word_times(word.exps, in_comm, poly_terms, comm_terms)
+                    image = images[j] = {index[m]: y for m, y in terms.items()}
+                for c, y in image.items():
+                    accumulate(row, c, x * y)
+            yield row
+
+
 def subalgebra_filtration(
     gens: list[MetAssocElem], n: int, max_degree: int | None = None
 ) -> list[DegreeReport]:
     """Compare span-of-products, Reynolds rank, and series coefficient.
 
     The span at degree d is built by dynamic programming: products of a
-    degree-(d-k) span basis with each degree-k generator.
+    degree-(d-k) span basis with each degree-k generator.  Generators
+    must have rational coefficients.  Each is cleared to an integer row
+    once, and the representatives are integer rows, so a product row is
+    a sum of integer rows from cached right-multiplication maps, with no
+    algebra product.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if max_degree is None:
         max_degree = 2 * n + 4
     order = ambient_order(n)
-    graded: list[tuple[int, MetAssocElem]] = []
+    # (degree, u^a v^b terms, commutator terms) with integer coefficients
+    graded: list[tuple[int, list, list]] = []
     for g in gens:
         dg = g.homogeneous_degree()
         if dg is None:
             raise ValueError("generators must be homogeneous and nonzero")
         if reynolds_assoc(n, g) != g:
             raise ValueError("generators must be invariant")
+        cleared = _integer_row(_assoc_row(g, dg))
+        if cleared is None:
+            raise ValueError("generators must have rational coefficients")
         if dg > 0:
-            graded.append((dg, g))
+            ints, (poly, comm) = cleared[0], basis_monomials(dg)
+            graded.append((
+                dg,
+                [(m.exps, ints[j]) for j, m in enumerate(poly) if j in ints],
+                [(m.exps, ints[j]) for j, m in enumerate(comm, len(poly)) if j in ints],
+            ))
         # degree-0 generators are constants, already in the subalgebra
     series = hilbert_assoc(n).coefficients(max_degree)
-    span: dict[int, list[MetAssocElem]] = {}
+    span: dict[int, list[dict[int, int]]] = {}
     reports = []
     for d in range(max_degree + 1):
         dim_r = len(_invariant_rows_assoc(n, d))
         ech = RowEchelon()
-        reps: list[MetAssocElem] = []
-        if d == 0:
-            unit = MetAssocElem.one(order)
-            ech.insert(_assoc_row(unit, 0))
-            reps.append(unit)
-        else:
-            # the generators are invariant, so once the span has the
-            # dimension of the invariants no product can enlarge it
-            products = (
-                s * g
-                for dg, g in graded
-                if d >= dg
-                for s in span.get(d - dg, ())
-            )
-            for prod in products:
-                if not prod.is_zero() and ech.insert(_assoc_row(prod, d)):
-                    reps.append(prod)
-                    if ech.rank == dim_r:
-                        break
+        reps: list[dict[int, int]] = []
+        # the unit spans degree 0; the generators are invariant, so once
+        # the span has the dimension of the invariants no product can
+        # enlarge it
+        for row in _product_rows(graded, span, d) if d else ({0: 1},):
+            if row and ech.insert(_rational_row(order, row, 1)):
+                reps.append(row)
+                if ech.rank == dim_r:
+                    break
         span[d] = reps
         reports.append(
             DegreeReport(d, dim_r, series[d], ech.rank, dim_r == series[d] == ech.rank)

@@ -34,11 +34,12 @@ IU, IV, IU1, IV1, IU2, IV2 = range(6)
 
 
 def accumulate(out: dict, key, value) -> None:
-    """out[key] += value, with no zero coefficient left stored."""
+    """out[key] += value, with no zero coefficient left stored; any
+    scalar that is false at zero (``CycNum``, int) will do."""
     prev = out.get(key)
     if prev is not None:
         value = prev + value
-    if value.is_zero():
+    if not value:
         out.pop(key, None)
     else:
         out[key] = value

@@ -1,11 +1,21 @@
 import itertools
+from fractions import Fraction
 from math import comb
 from random import Random
 
 import pytest
 
-from metabelian.assoc import MetAssocElem, basis, commutator, from_word
-from metabelian.cyclo import CycNum
+from metabelian.assoc import (
+    MetAssocElem,
+    _word_times,
+    basis,
+    basis_monomials,
+    commutator,
+    from_word,
+)
+from metabelian.cyclo import CycNum, ambient_order
+from metabelian.invariants import _assoc_index, _assoc_row, invariant_generators_assoc
+from metabelian.linalg import _integer_row
 from metabelian.poly import CommPoly, Monomial
 from helpers import inverse_matrix, random_assoc, random_matrix, random_word
 
@@ -154,3 +164,41 @@ def test_linear_image_inverse_round_trip():
         g = random_matrix(rng)
         e = random_assoc(rng, max_degree=6, terms=4)
         assert e.linear_image(*g).linear_image(*inverse_matrix(*g)) == e
+
+
+def _assert_word_times_matches_products(g, max_degree=10):
+    """Every basis word of degree <= max_degree times g, in closed form
+    on integer terms, against ``__mul__`` scaled by the same denominator."""
+    dg = g.homogeneous_degree()
+    _, den = _integer_row(_assoc_row(g, dg))
+
+    def terms(part):
+        return [(m.exps, int(c.rational_value() * den)) for m, c in part.terms.items()]
+
+    poly_terms, comm_terms = terms(g.poly_part), terms(g.comm_part)
+    for e in range(max_degree + 1):
+        poly, comm = basis_monomials(e)
+        index = _assoc_index(e + dg)
+        for j, (m, word) in enumerate(zip(poly + comm, basis(e, g.order))):
+            image = _word_times(m.exps, j >= len(poly), poly_terms, comm_terms)
+            expect = {c: v.rational_value() * den for c, v in _assoc_row(word * g, e + dg).items()}
+            assert {index[k]: x for k, x in image.items()} == expect, (m, g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_word_times_matches_products_by_generators(n):
+    for g in invariant_generators_assoc(n):
+        _assert_word_times_matches_products(g)
+
+
+def test_word_times_matches_products_by_random_rationals():
+    rng = Random(83)
+    order = ambient_order(3)
+    for k in range(1, 7):
+        words = basis(k, order)
+        for _ in range(3):
+            g = MetAssocElem.zero()
+            for w in rng.sample(words, min(len(words), 5)):
+                q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+                g = g + w.scale(q)
+            _assert_word_times_matches_products(g)

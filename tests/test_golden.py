@@ -6,12 +6,16 @@ invariant bases were rebuilt from tau-orbit sums, and
 ``verify_assoc_n3_d20.json`` that of ``verify assoc --n 3 --max-deg 20
 --json`` as it was before rational rows were eliminated over the
 integers: its 2043 product rows are deep enough for pivot growth to
-show, which degree 12 is not.  ``tests/data/canon.json``
-holds argv, exit code and stdout of ``canon`` and ``reynolds`` in both
-bases, as they were before the x,y rewrite became one linear
-substitution: the README examples, u,v text, x,y text, mixed text and
-two syntax errors.  Any change in an output, its key order or its exit
-code shows up here, not only a change between two runs of the same code.
+show, which degree 12 is not.  ``verify_assoc_n7_d22.json`` holds that
+of ``verify assoc --n 7 --max-deg 22 --json`` as it was before product
+rows were built from integer right-multiplication maps: its generators
+reach degree 2n + 2 = 16 and its coefficients live in Q(zeta_28).
+``tests/data/canon.json`` holds argv, exit code and stdout of ``canon``
+and ``reynolds`` in both bases, as they were before the x,y rewrite
+became one linear substitution: the README examples, u,v text, x,y
+text, mixed text and two syntax errors.  Any change in an output, its
+key order or its exit code shows up here, not only a change between two
+runs of the same code.
 """
 
 import json
@@ -48,6 +52,13 @@ def test_deep_assoc_report_matches_golden(capsys):
     argv = ["verify", "assoc", "--n", "3", "--max-deg", "20", "--json"]
     assert cli.main(argv) == 1
     expected = (DATA / "verify_assoc_n3_d20.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_large_n_assoc_report_matches_golden(capsys):
+    argv = ["verify", "assoc", "--n", "7", "--max-deg", "22", "--json"]
+    assert cli.main(argv) == 1
+    expected = (DATA / "verify_assoc_n7_d22.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 

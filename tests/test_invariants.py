@@ -3,7 +3,7 @@ import pytest
 from helpers import group_average
 from metabelian.assoc import MetAssocElem, from_word
 from metabelian.assoc import basis as assoc_basis
-from metabelian.cyclo import CycNum, ambient_order
+from metabelian.cyclo import CycNum, ambient_order, imag_unit
 from metabelian.dihedral import (
     act_assoc,
     act_lie,
@@ -307,6 +307,14 @@ def test_subalgebra_filtration_rejects_bad_generators():
         subalgebra_filtration([not_invariant], 3, 4)
 
 
+def test_subalgebra_filtration_rejects_non_rational_generators():
+    order = ambient_order(3)
+    lift = invariant_generators_assoc(3)[0]
+    assert reynolds_assoc(3, lift.scale(imag_unit(order))) == lift.scale(imag_unit(order))
+    with pytest.raises(ValueError, match="rational coefficients"):
+        subalgebra_filtration([lift.scale(imag_unit(order))], 3, 4)
+
+
 def test_module_span_check_cuv():
     for reports in (
         module_span_check(cuv_module_generators(3), "left", 3, 10),
@@ -347,14 +355,27 @@ def test_lie_suite():
         assert all(r.ok for r in lie_suite(n, 10))
 
 
+# minimality_check(n) for n = 3, 4, 5 as the algebra-product filtration
+# gave it: (decomposition, single removals, (dim_generated, dim_reynolds)
+# of every double removal at degree n + 2).  No double removal reaches
+# the invariant dimension, so no early exit fires and every product row
+# of those runs is inserted.
+MINIMALITY = {
+    3: ([1, 2, 2, 1], (4, 5)),
+    4: ([1, 2, 2, 2, 1], (9, 10)),
+    5: ([1, 2, 2, 2, 2, 1], (6, 7)),
+}
+
+
 def test_minimality_check():
-    rep = minimality_check(3)
-    assert [c.rational_value() for c in rep.decomposition] == [1, 2, 2, 1]
-    assert rep.single_removal_ok == [True, True, True, True]
-    assert rep.double_removal_all_fail
-    drop01 = next(f for f in rep.double_removal_failures if f[0] == (0, 1))
-    assert drop01[1] == 4 and drop01[2] == 5
-    assert rep.ok
+    for n, (decomposition, dims) in MINIMALITY.items():
+        rep = minimality_check(n)
+        assert [c.rational_value() for c in rep.decomposition] == decomposition
+        assert rep.single_removal_ok == [True] * (n + 1)
+        pairs = [(j, k) for j in range(n + 1) for k in range(j + 1, n + 1)]
+        assert rep.double_removal_failures == [(p, *dims) for p in pairs]
+        assert rep.double_removal_all_fail
+        assert rep.ok
 
 
 def test_decomposition_solves_the_linear_system():
