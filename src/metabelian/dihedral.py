@@ -169,8 +169,10 @@ def act_lie(g: DihedralElement, e: MetLieElem) -> MetLieElem:
     return MetLieElem(lin_u, lin_v, CommPoly._make(comm_out))
 
 
-def _act_comm_poly(g: DihedralElement, p: CommPoly) -> CommPoly:
-    """Commutative monomial action: rotation scalars, then the swap."""
+def act_uv(g: DihedralElement, p: CommPoly) -> CommPoly:
+    """The action on a commutative polynomial ring by monomial scaling
+    and the swap: on the ring in u, v, and as ``act_tensor`` the
+    diagonal action (no sign twist) on the ring in u1, v1, u2, v2."""
     out: dict[Monomial, CycNum] = {}
     for mono, c in p.terms.items():
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
@@ -180,14 +182,7 @@ def _act_comm_poly(g: DihedralElement, p: CommPoly) -> CommPoly:
     return CommPoly._make(out)
 
 
-def act_uv(g: DihedralElement, p: CommPoly) -> CommPoly:
-    """The action on the commutative polynomial ring in u, v."""
-    return _act_comm_poly(g, p)
-
-
-def act_tensor(g: DihedralElement, p: CommPoly) -> CommPoly:
-    """The diagonal action on the ring in u1, v1, u2, v2 (no sign twist)."""
-    return _act_comm_poly(g, p)
+act_tensor = act_uv
 
 
 def _weight_zero(p: CommPoly, n: int) -> CommPoly:
@@ -220,8 +215,9 @@ def reynolds_lie(n: int, e: MetLieElem) -> MetLieElem:
 
 
 def reynolds_uv(n: int, p: CommPoly) -> CommPoly:
+    """(P0 + tau P0) / 2 on the ring in u, v, and as ``reynolds_tensor``
+    on the ring in u1, v1, u2, v2 under the diagonal action."""
     return _symmetrize(n, _weight_zero(p, n), act_uv)
 
 
-def reynolds_tensor(n: int, p: CommPoly) -> CommPoly:
-    return _symmetrize(n, _weight_zero(p, n), act_tensor)
+reynolds_tensor = reynolds_uv

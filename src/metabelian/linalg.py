@@ -1,18 +1,16 @@
-"""Exact row reduction over the cyclotomic field.
+"""Exact row reduction of rational rows, fraction-free over the integers.
 
-Rows are sparse {column: CycNum} maps with no zero entries.  Pivoting
-is deterministic: always the smallest remaining column.
+Rows are sparse {column: CycNum} maps with no zero entries, and every
+entry must be rational: a row with any other entry raises ValueError
+and leaves the echelon as it was.  Pivoting is deterministic: always
+the smallest remaining column.
 
-While every row an echelon has seen is rational, as on every
-verification path, it eliminates fraction-free over the integers: a
-row's denominators are cleared by their lcm, each stored pivot is a
+A row's denominators are cleared by their lcm, each stored pivot is a
 primitive integer row with a positive lead, and a step is
 row <- b*row - a*pivot, where (a, b) are the two lead entries divided
 by their gcd (Bareiss, Math. Comp. 22, 1968).  The residual is the
 integer row divided by the product of the b's, so it is exactly the
-residual of monic elimination.  The first row with a non-rational entry
-turns the stored pivots monic, once, and from then on elimination is
-row <- row - a*pivot over the field.
+residual of monic elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import CycNum
-from .poly import accumulate
 
 __all__ = ["RowEchelon", "express_in_span", "rank_of"]
 
@@ -42,17 +39,24 @@ def _integer_row(row: Row) -> tuple[dict[int, int], int] | None:
     return {c: q.numerator * (den // q.denominator) for c, q in fracs.items()}, den
 
 
+def _integer_input(row: Row) -> tuple[dict[int, int], int]:
+    """The row for elimination; ValueError unless it is rational."""
+    ints = _integer_row(row)
+    if ints is None:
+        raise ValueError("rows must have rational entries")
+    return ints
+
+
 def _rational_row(order: int, row: dict[int, int], den: int) -> Row:
     return {c: CycNum._make(order, {0: Fraction(v, den)}) for c, v in row.items()}
 
 
 class RowEchelon:
-    """An incrementally maintained echelon basis of a row space."""
+    """An incrementally maintained echelon basis of a rational row space."""
 
     def __init__(self):
-        self._pivots: dict[int, Row] = {}
-        # True while the pivots are primitive integer rows
-        self._integral = True
+        # primitive integer rows with a positive lead, by lead column
+        self._pivots: dict[int, dict[int, int]] = {}
         self._order = 0
 
     def _reduce_integral(self, row: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
@@ -80,60 +84,22 @@ class RowEchelon:
                     del row[c]
         return row, scale
 
-    def _integer_input(self, row: Row) -> tuple[dict[int, int], int] | None:
-        """The row for the integer path, or None once the echelon is over
-        the field; the first non-rational row makes the pivots monic."""
-        if self._integral:
-            ints = _integer_row(row)
-            if ints is not None:
-                return ints
-            self._integral = False
-            self._pivots = {
-                lead: _rational_row(self._order, piv, piv[lead])
-                for lead, piv in self._pivots.items()
-            }
-        return None
-
     def reduce(self, row: Row) -> Row:
         """Residual of a row after elimination against the stored pivots."""
-        ints = self._integer_input(row)
-        if ints is not None:
-            r, scale = self._reduce_integral(*ints)
-            return _rational_row(next(iter(row.values())).order, r, scale) if r else {}
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        while row:
-            lead = min(row)
-            piv = self._pivots.get(lead)
-            if piv is None:
-                return row
-            na = -row[lead]
-            for c, v in piv.items():
-                accumulate(row, c, na * v)
-        return row
+        r, scale = self._reduce_integral(*_integer_input(row))
+        return _rational_row(next(iter(row.values())).order, r, scale) if r else {}
 
     def insert(self, row: Row) -> bool:
         """Add a row; True when it enlarged the span."""
-        ints = self._integer_input(row)
-        if ints is not None:
-            r, _ = self._reduce_integral(*ints)
-            if not r:
-                return False
-            lead = min(r)
-            g = gcd(*r.values())
-            if r[lead] < 0:
-                g = -g
-            self._pivots[lead] = {c: v // g for c, v in r.items()}
-            self._order = next(iter(row.values())).order
-            return True
-        r = self.reduce(row)
+        r, _ = self._reduce_integral(*_integer_input(row))
         if not r:
             return False
         lead = min(r)
-        pval = r[lead]
-        if pval != 1:
-            q = pval.inv()
-            r = {c: v * q for c, v in r.items()}
-        self._pivots[lead] = r
+        g = gcd(*r.values())
+        if r[lead] < 0:
+            g = -g
+        self._pivots[lead] = {c: v // g for c, v in r.items()}
+        self._order = next(iter(row.values())).order
         return True
 
     @property
@@ -143,12 +109,7 @@ class RowEchelon:
     def rows(self) -> list[Row]:
         """The stored pivot rows as monic CycNum rows, by lead column."""
         pivots = self._pivots
-        if self._integral:
-            return [
-                _rational_row(self._order, pivots[c], pivots[c][c])
-                for c in sorted(pivots)
-            ]
-        return [pivots[c] for c in sorted(pivots)]
+        return [_rational_row(self._order, pivots[c], pivots[c][c]) for c in sorted(pivots)]
 
 
 def rank_of(rows) -> int:
@@ -165,7 +126,7 @@ def express_in_span(rows: list[Row], target: Row, order: int) -> list[CycNum] | 
     j gets column top + 1 + j and the target column top.  Reduction
     never scales the target, so once its residual has no data column
     left it reads target - sum_j c_j * row_j, with -c_j at column
-    top + 1 + j.
+    top + 1 + j.  Rows and target must be rational (ValueError).
     """
     one = CycNum.one(order)
     top = 1 + max((c for r in (*rows, target) for c in r), default=-1)

@@ -10,6 +10,10 @@ show, which degree 12 is not.  ``verify_assoc_n7_d22.json`` holds that
 of ``verify assoc --n 7 --max-deg 22 --json`` as it was before product
 rows were built from integer right-multiplication maps: its generators
 reach degree 2n + 2 = 16 and its coefficients live in Q(zeta_28).
+``verify_lie_n7_d80.json`` and ``verify_cuv-module_n7_d80.json`` hold
+those of ``verify lie --n 7 --max-deg 80 --json`` and ``verify
+cuv-module --n 7 --max-deg 80 --json`` as they were before elimination
+became integer-only and ``lie_suite`` became the right-module check.
 ``tests/data/canon.json`` holds argv, exit code and stdout of ``canon``
 and ``reynolds`` in both bases, as they were before the x,y rewrite
 became one linear substitution: the README examples, u,v text, x,y
@@ -59,6 +63,14 @@ def test_large_n_assoc_report_matches_golden(capsys):
     argv = ["verify", "assoc", "--n", "7", "--max-deg", "22", "--json"]
     assert cli.main(argv) == 1
     expected = (DATA / "verify_assoc_n7_d22.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("target", ["lie", "cuv-module"])
+def test_deep_module_report_matches_golden(capsys, target):
+    argv = ["verify", target, "--n", "7", "--max-deg", "80", "--json"]
+    assert cli.main(argv) == 0
+    expected = (DATA / f"verify_{target}_n7_d80.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 

@@ -152,6 +152,14 @@ def test_cuv_series_identity():
         assert lhs == rhs
 
 
+def test_lie_series_is_the_right_module_series():
+    # lie_suite reports module_span_check's dim_series for the one
+    # generator u^n - v^n: t^(n+2) times the coefficient-ring series
+    for n in range(3, 13):
+        shift = RationalSeries((0,) * (n + 2) + (1,))
+        assert hilbert_lie(n) == shift * hilbert_cuv(n)
+
+
 def test_reynolds_ranks_match_corner_free_series():
     # the free-module series (corner generator dropped) matches the rank
     # oracle at every checked degree
@@ -348,6 +356,12 @@ def test_module_span_check_validation():
     bad = CommPoly({Monomial((1, 0)): one, Monomial((2, 0)): one})
     with pytest.raises(ValueError):
         module_span_check([bad], "left", 3, 6)
+
+
+def test_module_span_check_rejects_non_rational_generators():
+    iu = CommPoly.term(Monomial((1, 0)), imag_unit(ambient_order(3)))
+    with pytest.raises(ValueError, match="rational"):
+        module_span_check([iu], "left", 3, 4)
 
 
 def test_lie_suite():

@@ -18,14 +18,6 @@ def test_rank_simple():
     assert rank_of(rows) == 2
 
 
-def test_rank_over_gaussian_field():
-    i = imag_unit(4)
-    one = CycNum.one(4)
-    # second row is i times the first
-    rows = [{0: one, 1: i}, {0: i, 1: -one}]
-    assert rank_of(rows) == 1
-
-
 def test_echelon_incremental():
     ech = RowEchelon()
     one = CycNum.one(4)
@@ -41,11 +33,14 @@ def test_express_in_span():
     i = imag_unit(4)
     g0 = {0: one, 1: _c(2)}
     g1 = {1: one, 2: one}
-    target = {0: _c(2), 1: _c(4) + i, 2: i}
-    coeffs = express_in_span([g0, g1], target, 4)
-    assert coeffs is not None
-    assert coeffs[0] == _c(2)
-    assert coeffs[1] == i
+    # 2*g0 - 3/2*g1
+    target = {0: _c(2), 1: _c(Fraction(5, 2)), 2: _c(Fraction(-3, 2))}
+    assert express_in_span([g0, g1], target, 4) == [_c(2), _c(Fraction(-3, 2))]
+    # 2*g0 + i*g1 has a non-rational entry, as does a generator here
+    with pytest.raises(ValueError):
+        express_in_span([g0, g1], {0: _c(2), 1: _c(4) + i, 2: i}, 4)
+    with pytest.raises(ValueError):
+        express_in_span([g0, {1: one, 2: i}], target, 4)
 
 
 def test_express_in_span_failure():
@@ -68,9 +63,9 @@ def test_express_handles_dependent_generators():
 # ----------------------------------------------------------------------
 
 class _Reference:
-    """Incremental monic elimination on plain field values (Fraction, or
-    CycNum for the mixed case), smallest lead first: the residual and the
-    stored rows that RowEchelon must reproduce exactly."""
+    """Incremental monic elimination on Fraction values, smallest lead
+    first: the residual and the stored rows that RowEchelon must
+    reproduce exactly."""
 
     def __init__(self):
         self.pivots = {}
@@ -142,19 +137,45 @@ def _as_cyc(row, order):
     }
 
 
+def _is_rational(row):
+    return all(not isinstance(v, CycNum) or v.is_rational() for v in row.values())
+
+
+def _assert_rejected(ech, method, row):
+    """A non-rational row raises ValueError and leaves the pivots as they were."""
+    pivots = {lead: dict(piv) for lead, piv in ech._pivots.items()}
+    with pytest.raises(ValueError, match="rational"):
+        method(row)
+    assert ech._pivots == pivots
+
+
 def _check_against_reference(rows, queries, order, width):
+    """RowEchelon beside the reference on the rational rows and queries;
+    every non-rational one must be rejected, and the reference never
+    sees it."""
     ech, ref = RowEchelon(), _Reference()
+    rational = []
     for row, query in zip(rows, queries):
-        assert ech.insert(_as_cyc(row, order)) == ref.insert(row)
+        if _is_rational(row):
+            assert ech.insert(_as_cyc(row, order)) == ref.insert(row)
+            rational.append(row)
+        else:
+            _assert_rejected(ech, ech.insert, row)
         assert ech.rank == len(ref.pivots)
-        got = ech.reduce(_as_cyc(query, order))
-        assert got == _as_cyc(ref.reduce(query), order)
-        assert all(v.order == order for v in got.values())
+        if _is_rational(query):
+            got = ech.reduce(_as_cyc(query, order))
+            assert got == _as_cyc(ref.reduce(query), order)
+            assert all(v.order == order for v in got.values())
+        else:
+            _assert_rejected(ech, ech.reduce, query)
     got_rows = ech.rows()
     assert got_rows == [_as_cyc(ref.pivots[c], order) for c in sorted(ref.pivots)]
     assert all(row[min(row)] == 1 for row in got_rows)
-    assert _rref(got_rows, width) == _rref([_as_cyc(r, order) for r in rows], width)
-    return ech
+    assert _rref(got_rows, width) == _rref([_as_cyc(r, order) for r in rational], width)
+    # pivots are primitive integer rows with positive leads
+    for lead, piv in ech._pivots.items():
+        assert all(type(v) is int for v in piv.values())
+        assert piv[lead] > 0 and gcd(*piv.values()) == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -163,15 +184,13 @@ def test_rational_rows_match_fraction_reference(seed):
     width = 20
     rows = _random_rational_rows(rng, 40, width)
     queries = _random_rational_rows(rng, 40, width)
-    ech = _check_against_reference(rows, queries, 12, width)
-    # rational input never leaves the integer path: primitive rows, positive leads
-    for lead, piv in ech._pivots.items():
-        assert all(type(v) is int for v in piv.values())
-        assert piv[lead] > 0 and gcd(*piv.values()) == 1
+    _check_against_reference(rows, queries, 12, width)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_mixed_echelon_matches_reference(seed):
+    # a Gaussian row among rational ones is rejected by insert and
+    # reduce; the echelon goes on as the reference on the rational rows
     rng = Random(100 + seed)
     width = 16
     i = imag_unit(4)
@@ -179,14 +198,16 @@ def test_mixed_echelon_matches_reference(seed):
     after = _random_rational_rows(rng, 16, width)
     gaussian = {c: CycNum.from_rational(4, v) for c, v in after[3].items()}
     gaussian[rng.randrange(width)] = i * Fraction(rng.randint(1, 5), rng.randint(1, 3))
-    rows = [_as_cyc(r, 4) for r in before] + [gaussian] + [_as_cyc(r, 4) for r in after]
-    queries = [_as_cyc(r, 4) for r in _random_rational_rows(rng, len(rows), width)]
-    # the switch to the field comes from a query on odd seeds, else from
-    # inserting the Gaussian row
+    rows = before + [gaussian] + after
+    queries = _random_rational_rows(rng, len(rows), width)
+    # the Gaussian query comes before its insert on odd seeds, and after
+    # it on every seed
     if seed % 2:
         queries[len(before) - 1] = dict(gaussian)
     queries[len(before) + 4] = dict(gaussian)
     _check_against_reference(rows, queries, 4, width)
+    with pytest.raises(ValueError):
+        rank_of([_as_cyc(r, 4) for r in before] + [gaussian])
 
 
 def test_integer_step_divides_leads_by_their_gcd():
