@@ -1,15 +1,9 @@
 """Exact invariants of dihedral group actions on rank-2 free metabelian
-associative and Lie algebras, over cyclotomic coefficient fields."""
+associative and Lie algebras: rational coefficients throughout, with a
+cyclotomic field only where a rotation scales by a root of unity."""
 
 from .assoc import MetAssocElem, basis, commutator, from_word
-from .cyclo import (
-    CycNum,
-    ambient_order,
-    cyclotomic_polynomial,
-    euler_phi,
-    imag_unit,
-    root_of_unity,
-)
+from .cyclo import CycNum, cyclotomic_polynomial, euler_phi, imag_unit, root_of_unity
 from .dihedral import (
     DihedralElement,
     act_assoc,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycNum
-from .poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial, accumulate
+from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE, CommPoly, Monomial, accumulate
 
 __all__ = [
     "MetAssocElem",
@@ -101,14 +101,14 @@ class MetAssocElem:
         return cls()
 
     @classmethod
-    def one(cls, order: int = 4) -> MetAssocElem:
-        return cls(CommPoly.constant(CycNum.one(order)))
+    def one(cls) -> MetAssocElem:
+        return cls(CommPoly.constant(ONE))
 
     @classmethod
-    def letter(cls, name: str, order: int = 4) -> MetAssocElem:
+    def letter(cls, name: str) -> MetAssocElem:
         if name not in ("u", "v"):
             raise ValueError(f"generators are 'u' and 'v', got {name!r}")
-        return cls(CommPoly.variable(name, order))
+        return cls(CommPoly.variable(name))
 
     @classmethod
     def from_poly(cls, p: CommPoly) -> MetAssocElem:
@@ -157,7 +157,7 @@ class MetAssocElem:
     def __pow__(self, k: int) -> MetAssocElem:
         if k < 0:
             raise ValueError("negative power in the algebra")
-        result = MetAssocElem.one(self.order)
+        result = MetAssocElem.one()
         base = self
         while k:
             if k & 1:
@@ -184,7 +184,7 @@ class MetAssocElem:
         images = {IU1: lu.moved(IU1), IV1: lv.moved(IU1), IU2: lu.moved(IU2), IV2: lv.moved(IU2)}
         out = MetAssocElem.from_comm(self.comm_part.substitute(images).scale(a * d - b * c))
         gu, gv = MetAssocElem(lu), MetAssocElem(lv)
-        pu, pv = [MetAssocElem.one(a.order)], [MetAssocElem.one(a.order)]
+        pu, pv = [MetAssocElem.one()], [MetAssocElem.one()]
         for mono, coeff in self.poly_part.terms.items():
             p, q = mono.exps[IU], mono.exps[IV]
             while len(pu) <= p:
@@ -215,15 +215,6 @@ class MetAssocElem:
         degs |= {m.degree() + 2 for m in self.comm_part.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    @property
-    def order(self) -> int:
-        """The cyclotomic order of the coefficients; 4 for zero."""
-        for c in self.poly_part.terms.values():
-            return c.order
-        for c in self.comm_part.terms.values():
-            return c.order
-        return 4
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MetAssocElem)
@@ -244,15 +235,13 @@ def commutator(e1: MetAssocElem, e2: MetAssocElem) -> MetAssocElem:
 
 
 @lru_cache(maxsize=None)
-def _mono_times_u(a: int, b: int, order: int) -> MetAssocElem:
+def _mono_times_u(a: int, b: int) -> MetAssocElem:
     """Straighten the word u^a v^b u with one vu = uv + [v,u] rewrite per step."""
     if b == 0:
-        return MetAssocElem(
-            CommPoly.term(Monomial((a + 1,)), CycNum.one(order))
-        )
-    rec = _mono_times_u(a, b - 1, order)
+        return MetAssocElem(CommPoly.term(Monomial((a + 1,)), ONE))
+    rec = _mono_times_u(a, b - 1)
     appended = _times_v(rec)
-    bump = CommPoly.term(_comm_monomial(a, b - 1, 0, 0), CycNum.one(order))
+    bump = CommPoly.term(_comm_monomial(a, b - 1, 0, 0), ONE)
     return appended + MetAssocElem.from_comm(bump)
 
 
@@ -275,16 +264,16 @@ def _times_u(e: MetAssocElem) -> MetAssocElem:
     comm = CommPoly._make({m * shift: c for m, c in e.comm_part.terms.items()})
     out = MetAssocElem.from_comm(comm)
     for mono, c in e.poly_part.terms.items():
-        out = out + _mono_times_u(mono.exps[0], mono.exps[1], c.order).scale(c)
+        out = out + _mono_times_u(mono.exps[0], mono.exps[1]).scale(c)
     return out
 
 
-def from_word(word: str, order: int = 4) -> MetAssocElem:
+def from_word(word: str) -> MetAssocElem:
     """Canonical form of a product of letters, the straightening oracle.
 
     The empty word gives 1.  Letters outside {u, v} are rejected.
     """
-    e = MetAssocElem.one(order)
+    e = MetAssocElem.one()
     for ch in word:
         if ch == "v":
             e = _times_v(e)
@@ -315,10 +304,9 @@ def basis_monomials(degree: int) -> tuple[tuple[Monomial, ...], tuple[Monomial, 
     return uv_monomials(degree), comm
 
 
-def basis(degree: int, order: int = 4) -> list[MetAssocElem]:
+def basis(degree: int) -> list[MetAssocElem]:
     """All degree-d basis monomials, largest first in the monomial order."""
-    one = CycNum.one(order)
     poly, comm = basis_monomials(degree)
-    return [MetAssocElem(CommPoly.term(m, one)) for m in poly] + [
-        MetAssocElem.from_comm(CommPoly.term(m, one)) for m in comm
+    return [MetAssocElem(CommPoly.term(m, ONE)) for m in poly] + [
+        MetAssocElem.from_comm(CommPoly.term(m, ONE)) for m in comm
     ]

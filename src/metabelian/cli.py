@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from .cyclo import ambient_order
 from .dihedral import reynolds_assoc
 from .expr import ExprSyntaxError, eval_assoc, parse, print_elem
 from .invariants import (
@@ -80,14 +79,13 @@ def _read_expression(args) -> str:
 
 
 def _cmd_canon(args) -> int:
-    elem = eval_assoc(parse(_read_expression(args)), order=4)
+    elem = eval_assoc(parse(_read_expression(args)))
     print(print_elem(elem, args.basis))
     return 0
 
 
 def _cmd_reynolds(args) -> int:
-    order = ambient_order(args.n)
-    elem = eval_assoc(parse(_read_expression(args)), order=order)
+    elem = eval_assoc(parse(_read_expression(args)))
     print(print_elem(reynolds_assoc(args.n, elem), args.basis))
     return 0
 

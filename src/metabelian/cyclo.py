@@ -2,9 +2,16 @@
 
 A value is the canonical residue modulo the m-th cyclotomic polynomial,
 stored sparsely as {exponent: rational} with all exponents below phi(m)
-and no zero entries.  Two values are equal exactly when their maps are
-equal, so equality is decidable, and every operation is exact: there is
-no floating point anywhere in this module.
+and no zero entries.  Two values of one order are equal exactly when
+their maps are equal, so equality is decidable, and every operation is
+exact: there is no floating point anywhere in this module.
+
+Rationals belong to every field.  A rational value of any order, order 1
+included, combines with a value of another order, and the result takes
+the order of the non-rational operand; it also compares and hashes as
+its rational.  Only two non-rational values of different orders refuse
+to mix (ValueError), so a field is chosen only where a root of unity is
+built: ``root_of_unity`` and ``imag_unit``.
 """
 
 from __future__ import annotations
@@ -148,7 +155,8 @@ class CycNum:
         return not self.coeffs
 
     def is_rational(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {0}
+        c = self.coeffs
+        return not c or (len(c) == 1 and 0 in c)
 
     def rational_value(self) -> Fraction:
         if not self.coeffs:
@@ -157,12 +165,17 @@ class CycNum:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
 
+    def _common_order(self, other: CycNum) -> int:
+        """The order of a sum or product with a value of another order: a
+        rational belongs to every field, so it takes the other's order."""
+        if other.is_rational():
+            return self.order
+        if self.is_rational():
+            return other.order
+        raise ValueError(f"mixed cyclotomic orders {self.order} and {other.order}")
+
     def _coerce(self, other):
         if isinstance(other, CycNum):
-            if other.order != self.order:
-                raise ValueError(
-                    f"mixed cyclotomic orders {self.order} and {other.order}"
-                )
             return other
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -173,6 +186,9 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        order = self.order
+        if other.order != order:
+            order = self._common_order(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e, _F0) + c
@@ -180,7 +196,7 @@ class CycNum:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return CycNum._make(self.order, out)
+        return CycNum._make(order, out)
 
     __radd__ = __add__
 
@@ -207,23 +223,24 @@ class CycNum:
             return CycNum._make(self.order, {e: c * q for e, c in self.coeffs.items()})
         if not isinstance(other, CycNum):
             return NotImplemented
-        if other.order != self.order:
-            raise ValueError(f"mixed cyclotomic orders {self.order} and {other.order}")
+        order = self.order
+        if other.order != order:
+            order = self._common_order(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return CycNum._make(self.order, {})
+            return CycNum._make(order, {})
         if len(a) == 1 and 0 in a:
             q = a[0]
-            return CycNum._make(self.order, {e: c * q for e, c in b.items()})
+            return CycNum._make(order, {e: c * q for e, c in b.items()})
         if len(b) == 1 and 0 in b:
             q = b[0]
-            return CycNum._make(self.order, {e: c * q for e, c in a.items()})
-        deg = euler_phi(self.order)
+            return CycNum._make(order, {e: c * q for e, c in a.items()})
+        deg = euler_phi(order)
         dense = [_F0] * (2 * deg - 1)
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 dense[e1 + e2] += c1 * c2
-        return CycNum._make(self.order, _reduce_dense(self.order, dense))
+        return CycNum._make(order, _reduce_dense(order, dense))
 
     __rmul__ = __mul__
 

@@ -4,10 +4,12 @@ Group elements are written tau^flip rho^rot where rho rotates by 2*pi/n
 and tau is the reflection swapping the diagonalizing coordinates u and
 v.  On u, v the rotation acts by u -> xi*u, v -> conj(xi)*v with xi a
 primitive n-th root of unity taken inside the ambient field of order
-lcm(4, n).  Reflections act as algebra automorphisms, so their effect on
-a basis word u^a v^b is the canonical form of the swapped word, which
-picks up commutator corrections; the commutator coordinates themselves
-transform without corrections.
+lcm(4, n).  ``rotation_scalar`` is the only place outside ``cyclo`` that
+builds a field: every other constant here is rational, and rationals
+combine with coefficients of any order.  Reflections act as algebra
+automorphisms, so their effect on a basis word u^a v^b is the canonical
+form of the swapped word, which picks up commutator corrections; the
+commutator coordinates themselves transform without corrections.
 
 Rotations are diagonal on basis monomials: rho scales a monomial of
 rotation weight w by xi^w.  Since sum_k xi^(kw) = n [w = 0 mod n], the
@@ -26,7 +28,7 @@ from functools import lru_cache
 from .assoc import MetAssocElem
 from .cyclo import CycNum, ambient_order, root_of_unity
 from .lie import MetLieElem
-from .poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial, accumulate
+from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE, CommPoly, Monomial, accumulate
 
 __all__ = [
     "DihedralElement",
@@ -93,11 +95,10 @@ def rotation_scalar(n: int, j: int) -> CycNum:
 
 
 @lru_cache(maxsize=None)
-def _swap_straighten(a: int, b: int, order: int) -> MetAssocElem:
+def _swap_straighten(a: int, b: int) -> MetAssocElem:
     """Canonical form of the word v^a u^b."""
-    one = CycNum.one(order)
-    va = MetAssocElem(CommPoly.term(Monomial((0, a)), one))
-    ub = MetAssocElem(CommPoly.term(Monomial((b, 0)), one))
+    va = MetAssocElem(CommPoly.term(Monomial((0, a)), ONE))
+    ub = MetAssocElem(CommPoly.term(Monomial((b, 0)), ONE))
     return va * ub
 
 
@@ -122,10 +123,11 @@ def swap(mono: Monomial) -> Monomial:
 def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
     """Algebra automorphism action on a canonical element.
 
-    Elements must carry coefficients in the ambient field of order
-    lcm(4, g.n) so that xi exists.
+    A rotation scales by powers of xi, which lives in the field of order
+    lcm(4, n): every non-rational coefficient must lie in that field.
+    Rational coefficients serve any g, and a reflection alone (rot 0)
+    takes coefficients from any one field.
     """
-    order = ambient_order(g.n)
     poly_out: dict[Monomial, CycNum] = {}
     comm_out: dict[Monomial, CycNum] = {}
 
@@ -134,7 +136,7 @@ def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
         if not g.flip:
             accumulate(poly_out, mono, s)
         else:
-            w = _swap_straighten(mono.exps[IU], mono.exps[IV], order)
+            w = _swap_straighten(mono.exps[IU], mono.exps[IV])
             for m2, c2 in w.poly_part.terms.items():
                 accumulate(poly_out, m2, s * c2)
             for m2, c2 in w.comm_part.terms.items():
@@ -209,8 +211,7 @@ def reynolds_assoc(n: int, e: MetAssocElem) -> MetAssocElem:
 
 def reynolds_lie(n: int, e: MetLieElem) -> MetLieElem:
     # u and v weigh +1 and -1, never 0 mod n >= 3: the linear part drops
-    zero = CycNum.zero(e.order)
-    p0 = MetLieElem(zero, zero, _weight_zero(e.comm, n))
+    p0 = MetLieElem.from_comm(_weight_zero(e.comm, n))
     return _symmetrize(n, p0, act_lie)
 
 

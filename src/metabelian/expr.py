@@ -8,18 +8,22 @@ expression, including inside parentheses and brackets):
     factor := atom ('^' NAT)?
     atom   := VAR | NUMBER | 'i' | '(' expr ')' | '[' expr ',' expr ']'
     NUMBER := INT ('/' INT)?
+    INT    := ASCII digits 0-9, one or more
     VAR    := 'u' | 'v' | 'x' | 'y'
 
 Parentheses and brackets nest at most MAX_NESTING deep; deeper input is
 a syntax error.
 
-x and y are rewritten to (u+v)/2 and (u-v)/(2i) before evaluation, so
-every expression lands in the u, v presentation.  Printing over x, y
-applies the inverse substitution u -> x + i*y, v -> x - i*y with
+The language denotes elements over Q(i): rational literals are
+field-free and 'i' is the square root of -1 of order 4.  x and y are
+rewritten to (u+v)/2 and (u-v)/(2i) before evaluation, so every
+expression lands in the u, v presentation.  Printing over x, y applies
+the inverse substitution u -> x + i*y, v -> x - i*y with
 ``linear_image``; both directions come from ``_xy_matrix``.  Printing
 uses only grammar atoms whenever the coefficients lie in Q(i), which
 covers every element the language itself can denote; other cyclotomic
-coefficients render in the z(m,k) notation for display only.
+coefficients, which only a caller's rotation brings in, render in the
+z(m,k) notation for display only.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .assoc import MetAssocElem
 from .cyclo import CycNum, _fraction_text, imag_unit
 from .lie import MetLieElem
-from .poly import IU, IU1, IU2, IV, IV1, IV2, Monomial
+from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE, Monomial
 
 __all__ = [
     "Bracket",
@@ -124,6 +129,8 @@ class Group:
 # ----------------------------------------------------------------------
 
 _PUNCT = "+-*^()[],/"
+# INT is ASCII 0-9; str.isdigit also takes superscripts and other scripts' digits
+_DIGITS = "0123456789"
 
 
 @dataclass(frozen=True)
@@ -145,9 +152,9 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             out.append(_Token("int", text[i:j], i))
             i = j
@@ -285,28 +292,36 @@ def parse(text: str):
 
 def _xy_matrix(order: int) -> tuple[CycNum, CycNum, CycNum, CycNum]:
     """u = x + i*y and v = x - i*y, as the arguments (a, b, c, d) of
-    ``linear_image``: u -> a*x + c*y, v -> b*x + d*y."""
-    one, i = CycNum.one(order), imag_unit(order)
-    return one, one, i, -i
+    ``linear_image``: u -> a*x + c*y, v -> b*x + d*y, with i taken in
+    the field of the given order."""
+    i = imag_unit(order)
+    return ONE, ONE, i, -i
 
 
 @lru_cache(maxsize=None)
-def _xy_letters(order: int) -> tuple[MetAssocElem, MetAssocElem]:
+def _xy_letters() -> tuple[MetAssocElem, MetAssocElem]:
     """x and y over u, v: the images of the two letters under the inverse
     of ``_xy_matrix``, that is (u+v)/2 and (u-v)/(2i)."""
-    a, b, c, d = _xy_matrix(order)
+    a, b, c, d = _xy_matrix(4)
     det = a * d - b * c
     inverse = (d / det, -b / det, -c / det, a / det)
-    return tuple(MetAssocElem.letter(name, order).linear_image(*inverse) for name in "uv")
+    return tuple(MetAssocElem.letter(name).linear_image(*inverse) for name in "uv")
 
 
 def to_xy(e: MetAssocElem | MetLieElem) -> MetAssocElem | MetLieElem:
     """Rewrite an element over the generators x, y.
 
     The result is a canonical element of the same algebra whose u, v
-    slots carry x, y.  Requires coefficients in a field containing i.
+    slots carry x, y.  i is taken in the field of the first non-rational
+    coefficient, which must contain it, or in Q(i) when every
+    coefficient is rational.
     """
-    return e.linear_image(*_xy_matrix(e.order))
+    if isinstance(e, MetLieElem):
+        coeffs = chain((e.lin_u, e.lin_v), e.comm.terms.values())
+    else:
+        coeffs = chain(e.poly_part.terms.values(), e.comm_part.terms.values())
+    order = next((c.order for c in coeffs if not c.is_rational()), 4)
+    return e.linear_image(*_xy_matrix(order))
 
 
 # ----------------------------------------------------------------------
@@ -316,8 +331,9 @@ def to_xy(e: MetAssocElem | MetLieElem) -> MetAssocElem | MetLieElem:
 _CHAIN_OPS = {Sum: operator.add, Difference: operator.sub, Product: operator.mul}
 
 
-def eval_assoc(node, order: int = 4) -> MetAssocElem:
-    """Evaluate a syntax tree; x, y are rewritten into u, v first."""
+def eval_assoc(node) -> MetAssocElem:
+    """Evaluate a syntax tree over Q(i); x, y are rewritten into u, v
+    first."""
     # A flat chain such as u+u+...+u parses into a tree as deep as the
     # chain is long, so its left spine is walked by a loop, not recursion.
     spine = []
@@ -326,25 +342,25 @@ def eval_assoc(node, order: int = 4) -> MetAssocElem:
         node = node.left
     match node:
         case RationalLit(value=q):
-            value = MetAssocElem.one(order).scale(q)
+            value = MetAssocElem.one().scale(q)
         case ImagLit():
-            value = MetAssocElem.one(order).scale(imag_unit(order))
+            value = MetAssocElem.one().scale(imag_unit(4))
         case Variable(name="u") | Variable(name="v"):
-            value = MetAssocElem.letter(node.name, order)
+            value = MetAssocElem.letter(node.name)
         case Variable(name="x"):
-            value = _xy_letters(order)[0]
+            value = _xy_letters()[0]
         case Variable(name="y"):
-            value = _xy_letters(order)[1]
+            value = _xy_letters()[1]
         case Group(inner=inner):
-            value = eval_assoc(inner, order)
+            value = eval_assoc(inner)
         case Power(base=b, exponent=k):
-            value = eval_assoc(b, order) ** k
+            value = eval_assoc(b) ** k
         case Bracket(left=l, right=r):
-            value = eval_assoc(l, order).commutator(eval_assoc(r, order))
+            value = eval_assoc(l).commutator(eval_assoc(r))
         case _:
             raise TypeError(f"not an expression node: {node!r}")
     for op in reversed(spine):
-        value = _CHAIN_OPS[type(op)](value, eval_assoc(op.right, order))
+        value = _CHAIN_OPS[type(op)](value, eval_assoc(op.right))
     return value
 
 

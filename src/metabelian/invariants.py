@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import assoc
 from .assoc import MetAssocElem, _comm_monomial, _word_times, basis_monomials, uv_monomials
-from .cyclo import CycNum, ambient_order
+from .cyclo import CycNum
 from .dihedral import (
     DihedralElement,
     act_uv,
@@ -32,6 +32,7 @@ from .linalg import RowEchelon, _integer_row, _rational_row, express_in_span
 from .poly import (
     IU1,
     IU2,
+    ONE,
     CommPoly,
     Monomial,
     RationalSeries,
@@ -93,16 +94,6 @@ def _assoc_index(d: int) -> dict[tuple[int, ...], int]:
     return {m.exps: j for j, m in enumerate(poly + comm)}
 
 
-def _assoc_row(e: MetAssocElem, d: int) -> dict[int, CycNum]:
-    index = _assoc_index(d)
-    row: dict[int, CycNum] = {}
-    for m, c in e.poly_part.terms.items():
-        row[index[m.exps]] = c
-    for m, c in e.comm_part.terms.items():
-        row[index[m.exps]] = c
-    return row
-
-
 def _poly_row(p: CommPoly, index: dict[Monomial, int]) -> dict[int, CycNum]:
     return {index[m]: c for m, c in p.terms.items()}
 
@@ -127,7 +118,6 @@ def _tau_orbit_images(n: int, monos, wrap, reynolds) -> tuple:
     they span.  The images that vanish are those of swap-fixed monomials
     on which tau acts as -1 (commutator words, Lie commutators).
     """
-    one = CycNum.one(ambient_order(n))
     out = []
     for m in monos:
         if rotation_weight(m) % n:
@@ -135,7 +125,7 @@ def _tau_orbit_images(n: int, monos, wrap, reynolds) -> tuple:
         s = swap(m)
         if s.exps > m.exps:
             continue
-        r = reynolds(n, wrap(CommPoly.term(m, one)))
+        r = reynolds(n, wrap(CommPoly.term(m, ONE)))
         if not r.is_zero():
             out.append(r if s == m else r.scale(2))
     return tuple(out)
@@ -234,11 +224,9 @@ def hilbert_assoc(n: int, *, corner: bool = True) -> RationalSeries:
 def cuv_module_generators(n: int) -> list[CommPoly]:
     """1, u, ..., u^n, v, ..., v^(n-1): a free basis of the polynomial
     ring over its invariant subring."""
-    order = ambient_order(n)
-    one = CycNum.one(order)
-    gens = [CommPoly.constant(one)]
-    gens += [CommPoly.term(Monomial((a, 0)), one) for a in range(1, n + 1)]
-    gens += [CommPoly.term(Monomial((0, b)), one) for b in range(1, n)]
+    gens = [CommPoly.constant(ONE)]
+    gens += [CommPoly.term(Monomial((a, 0)), ONE) for a in range(1, n + 1)]
+    gens += [CommPoly.term(Monomial((0, b)), ONE) for b in range(1, n)]
     return gens
 
 
@@ -249,16 +237,14 @@ def comm_module_generators(n: int) -> list[CommPoly]:
     Ordered as: u1^a u2^(n-a) - v1^a v2^(n-a) for a = 0..n, then
     u1^n u2^n - v1^n v2^n, then u1^a v2^a - v1^a u2^a for a = 1..n-1.
     """
-    order = ambient_order(n)
-    one = CycNum.one(order)
     mono = _comm_monomial
     gens = [
-        CommPoly({mono(a, 0, n - a, 0): one, mono(0, a, 0, n - a): -one})
+        CommPoly({mono(a, 0, n - a, 0): ONE, mono(0, a, 0, n - a): -ONE})
         for a in range(n + 1)
     ]
-    gens.append(CommPoly({mono(n, 0, n, 0): one, mono(0, n, 0, n): -one}))
+    gens.append(CommPoly({mono(n, 0, n, 0): ONE, mono(0, n, 0, n): -ONE}))
     gens += [
-        CommPoly({mono(a, 0, 0, a): one, mono(0, a, a, 0): -one})
+        CommPoly({mono(a, 0, 0, a): ONE, mono(0, a, a, 0): -ONE})
         for a in range(1, n)
     ]
     return gens
@@ -266,20 +252,14 @@ def comm_module_generators(n: int) -> list[CommPoly]:
 
 def lie_module_generator(n: int) -> CommPoly:
     """u^n - v^n in ad coordinates: the single Lie module generator."""
-    order = ambient_order(n)
-    one = CycNum.one(order)
-    return CommPoly({Monomial((n, 0)): one, Monomial((0, n)): -one})
+    return CommPoly({Monomial((n, 0)): ONE, Monomial((0, n)): -ONE})
 
 
 def invariant_generators_assoc(n: int) -> list[MetAssocElem]:
     """The standard generating set of the invariant algebra: the two
     lifts uv+vu and u^n+v^n followed by the 2n+1 module generators."""
-    order = ambient_order(n)
-    lift_uv = assoc.from_word("uv", order) + assoc.from_word("vu", order)
-    one = CycNum.one(order)
-    lift_pow = MetAssocElem(
-        CommPoly({Monomial((n, 0)): one, Monomial((0, n)): one})
-    )
+    lift_uv = assoc.from_word("uv") + assoc.from_word("vu")
+    lift_pow = MetAssocElem(CommPoly({Monomial((n, 0)): ONE, Monomial((0, n)): ONE}))
     return [lift_uv, lift_pow] + [
         MetAssocElem.from_comm(h) for h in comm_module_generators(n)
     ]
@@ -294,15 +274,11 @@ def corner_generator_relation(n: int) -> tuple[MetAssocElem, MetAssocElem]:
     generating but not a free set, and dropping the corner one leaves a
     free set of 2n.
     """
-    order = ambient_order(n)
-    one = CycNum.one(order)
     gens = comm_module_generators(n)
     g0 = MetAssocElem.from_comm(gens[0])
     gn = MetAssocElem.from_comm(gens[n])
     corner = MetAssocElem.from_comm(gens[n + 1])
-    power_sum = MetAssocElem(
-        CommPoly({Monomial((n, 0)): one, Monomial((0, n)): one})
-    )
+    power_sum = MetAssocElem(CommPoly({Monomial((n, 0)): ONE, Monomial((0, n)): ONE}))
     return corner.scale(2), power_sum * g0 + gn * power_sum
 
 
@@ -346,16 +322,16 @@ def subalgebra_filtration(
 
     The span at degree d is built by dynamic programming: products of a
     degree-(d-k) span basis with each degree-k generator.  Generators
-    must have rational coefficients.  Each is cleared to an integer row
-    once, and the representatives are integer rows, so a product row is
-    a sum of integer rows from cached right-multiplication maps, with no
-    algebra product.
+    must have rational coefficients.  Each one of degree at most
+    ``max_degree`` has its coefficients cleared to integers once, and
+    the representatives are integer rows, so a product row is a sum of
+    integer rows from cached right-multiplication maps, with no algebra
+    product.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if max_degree is None:
         max_degree = 2 * n + 4
-    order = ambient_order(n)
     # (degree, u^a v^b terms, commutator terms) with integer coefficients
     graded: list[tuple[int, list, list]] = []
     for g in gens:
@@ -364,17 +340,19 @@ def subalgebra_filtration(
             raise ValueError("generators must be homogeneous and nonzero")
         if reynolds_assoc(n, g) != g:
             raise ValueError("generators must be invariant")
-        cleared = _integer_row(_assoc_row(g, dg))
+        terms = {m.exps: c for p in (g.poly_part, g.comm_part) for m, c in p.terms.items()}
+        cleared = _integer_row(terms)
         if cleared is None:
             raise ValueError("generators must have rational coefficients")
-        if dg > 0:
-            ints, (poly, comm) = cleared[0], basis_monomials(dg)
+        # degree-0 generators are constants, already in the subalgebra,
+        # and no product of one above max_degree is reached
+        if 0 < dg <= max_degree:
+            ints = cleared[0]
             graded.append((
                 dg,
-                [(m.exps, ints[j]) for j, m in enumerate(poly) if j in ints],
-                [(m.exps, ints[j]) for j, m in enumerate(comm, len(poly)) if j in ints],
+                [(m.exps, ints[m.exps]) for m in g.poly_part.terms],
+                [(m.exps, ints[m.exps]) for m in g.comm_part.terms],
             ))
-        # degree-0 generators are constants, already in the subalgebra
     series = hilbert_assoc(n).coefficients(max_degree)
     span: dict[int, list[dict[int, int]]] = {}
     reports = []
@@ -386,7 +364,7 @@ def subalgebra_filtration(
         # the span has the dimension of the invariants no product can
         # enlarge it
         for row in _product_rows(graded, span, d) if d else ({0: 1},):
-            if row and ech.insert(_rational_row(order, row, 1)):
+            if row and ech.insert(_rational_row(row, 1)):
                 reps.append(row)
                 if ech.rank == dim_r:
                     break
@@ -533,7 +511,6 @@ def minimality_check(n: int, max_degree: int | None = None) -> MinimalityReport:
         raise ValueError("need n >= 3")
     if max_degree is None:
         max_degree = 2 * n + 4
-    order = ambient_order(n)
     gens = invariant_generators_assoc(n)
     target = gens[0].commutator(gens[1])
     axis = comm_module_generators(n)[: n + 1]
@@ -543,7 +520,7 @@ def minimality_check(n: int, max_degree: int | None = None) -> MinimalityReport:
     index = {m: j for j, m in enumerate(monos)}
     gen_rows = [_poly_row(h, index) for h in axis]
     assert target.poly_part.is_zero()
-    coeffs = express_in_span(gen_rows, _poly_row(target.comm_part, index), order)
+    coeffs = express_in_span(gen_rows, _poly_row(target.comm_part, index))
     if coeffs is None:
         raise ArithmeticError("the commutator of the lifts left the module span")
 
@@ -600,10 +577,8 @@ def cst_sanity(n: int) -> CstReport:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    order = ambient_order(n)
-    one = CycNum.one(order)
-    f1 = CommPoly.term(Monomial((1, 1)), one)
-    f2 = CommPoly({Monomial((n, 0)): one, Monomial((0, n)): one})
+    f1 = CommPoly.term(Monomial((1, 1)), ONE)
+    f2 = CommPoly({Monomial((n, 0)): ONE, Monomial((0, n)): ONE})
     generators = (DihedralElement(n, 1), DihedralElement(n, 0, True))
     fixed = all(act_uv(g, f) == f for g in generators for f in (f1, f2))
     return CstReport(

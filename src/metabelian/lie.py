@@ -10,7 +10,7 @@ ad, which is what makes this coordinate form a basis.
 from __future__ import annotations
 
 from .cyclo import CycNum
-from .poly import IU, IU1, IU2, IV, CommPoly
+from .poly import IU, IU1, IU2, IV, ONE, ZERO, CommPoly
 
 __all__ = [
     "MetLieElem",
@@ -25,37 +25,25 @@ class MetLieElem:
     __slots__ = ("lin_u", "lin_v", "comm")
 
     def __init__(self, lin_u: CycNum, lin_v: CycNum, comm: CommPoly | None = None):
-        if lin_u.order != lin_v.order:
-            raise ValueError("mixed cyclotomic orders in linear part")
         self.lin_u = lin_u
         self.lin_v = lin_v
         self.comm = comm if comm is not None else CommPoly.zero()
 
-    @property
-    def order(self) -> int:
-        return self.lin_u.order
+    @classmethod
+    def zero(cls) -> MetLieElem:
+        return cls(ZERO, ZERO)
 
     @classmethod
-    def zero(cls, order: int = 4) -> MetLieElem:
-        z = CycNum.zero(order)
-        return cls(z, z)
-
-    @classmethod
-    def generator(cls, name: str, order: int = 4) -> MetLieElem:
+    def generator(cls, name: str) -> MetLieElem:
         if name == "u":
-            return cls(CycNum.one(order), CycNum.zero(order))
+            return cls(ONE, ZERO)
         if name == "v":
-            return cls(CycNum.zero(order), CycNum.one(order))
+            return cls(ZERO, ONE)
         raise ValueError(f"generators are 'u' and 'v', got {name!r}")
 
     @classmethod
-    def from_comm(cls, comm: CommPoly, order: int | None = None) -> MetLieElem:
-        if order is None:
-            if comm.is_zero():
-                raise ValueError("order needed for a zero commutator part")
-            order = next(iter(comm.terms.values())).order
-        z = CycNum.zero(order)
-        return cls(z, z, comm)
+    def from_comm(cls, comm: CommPoly) -> MetLieElem:
+        return cls(ZERO, ZERO, comm)
 
     def is_zero(self) -> bool:
         return self.lin_u.is_zero() and self.lin_v.is_zero() and self.comm.is_zero()
@@ -80,7 +68,7 @@ class MetLieElem:
         comm = CommPoly.constant(c) if not c.is_zero() else CommPoly.zero()
         comm = comm + self.comm * CommPoly.linear(other.lin_u, other.lin_v)
         comm = comm - other.comm * CommPoly.linear(self.lin_u, self.lin_v)
-        return MetLieElem.from_comm(comm, order=self.order)
+        return MetLieElem.from_comm(comm)
 
     def linear_image(self, a: CycNum, b: CycNum, c: CycNum, d: CycNum) -> MetLieElem:
         """The image under the endomorphism u -> a*u + c*v, v -> b*u + d*v.
@@ -101,12 +89,11 @@ class MetLieElem:
         """Act by a polynomial through ad; defined on the commutator ideal only."""
         if not (self.lin_u.is_zero() and self.lin_v.is_zero()):
             raise ValueError("module action needs a zero linear part")
-        return MetLieElem.from_comm(self.comm * f, order=self.order)
+        return MetLieElem.from_comm(self.comm * f)
 
     def homogeneous_component(self, d: int) -> MetLieElem:
-        z = CycNum.zero(self.order)
-        lin_u = self.lin_u if d == 1 else z
-        lin_v = self.lin_v if d == 1 else z
+        lin_u = self.lin_u if d == 1 else ZERO
+        lin_v = self.lin_v if d == 1 else ZERO
         comm = self.comm.homogeneous_component(d - 2) if d >= 2 else CommPoly.zero()
         return MetLieElem(lin_u, lin_v, comm)
 
@@ -154,6 +141,6 @@ def embed_assoc(e: MetLieElem):
     """
     from .assoc import MetAssocElem
 
-    u, v = CommPoly.variable("u", e.order), CommPoly.variable("v", e.order)
+    u, v = CommPoly.variable("u"), CommPoly.variable("v")
     ad = {IU: u.moved(IU2) - u.moved(IU1), IV: v.moved(IU2) - v.moved(IU1)}
     return MetAssocElem(CommPoly.linear(e.lin_u, e.lin_v), e.comm.substitute(ad))

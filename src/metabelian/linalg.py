@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import CycNum
+from .poly import ONE, ZERO
 
 __all__ = ["RowEchelon", "express_in_span", "rank_of"]
 
@@ -47,8 +48,8 @@ def _integer_input(row: Row) -> tuple[dict[int, int], int]:
     return ints
 
 
-def _rational_row(order: int, row: dict[int, int], den: int) -> Row:
-    return {c: CycNum._make(order, {0: Fraction(v, den)}) for c, v in row.items()}
+def _rational_row(row: dict[int, int], den: int) -> Row:
+    return {c: CycNum._make(1, {0: Fraction(v, den)}) for c, v in row.items()}
 
 
 class RowEchelon:
@@ -57,7 +58,6 @@ class RowEchelon:
     def __init__(self):
         # primitive integer rows with a positive lead, by lead column
         self._pivots: dict[int, dict[int, int]] = {}
-        self._order = 0
 
     def _reduce_integral(self, row: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
         """Integer residual r and scale s of a row given as (scale * row,
@@ -87,7 +87,7 @@ class RowEchelon:
     def reduce(self, row: Row) -> Row:
         """Residual of a row after elimination against the stored pivots."""
         r, scale = self._reduce_integral(*_integer_input(row))
-        return _rational_row(next(iter(row.values())).order, r, scale) if r else {}
+        return _rational_row(r, scale) if r else {}
 
     def insert(self, row: Row) -> bool:
         """Add a row; True when it enlarged the span."""
@@ -99,7 +99,6 @@ class RowEchelon:
         if r[lead] < 0:
             g = -g
         self._pivots[lead] = {c: v // g for c, v in r.items()}
-        self._order = next(iter(row.values())).order
         return True
 
     @property
@@ -109,7 +108,7 @@ class RowEchelon:
     def rows(self) -> list[Row]:
         """The stored pivot rows as monic CycNum rows, by lead column."""
         pivots = self._pivots
-        return [_rational_row(self._order, pivots[c], pivots[c][c]) for c in sorted(pivots)]
+        return [_rational_row(pivots[c], pivots[c][c]) for c in sorted(pivots)]
 
 
 def rank_of(rows) -> int:
@@ -119,7 +118,7 @@ def rank_of(rows) -> int:
     return ech.rank
 
 
-def express_in_span(rows: list[Row], target: Row, order: int) -> list[CycNum] | None:
+def express_in_span(rows: list[Row], target: Row) -> list[CycNum] | None:
     """Exact coefficients writing target as a combination of rows, or None.
 
     Cofactors ride along as tracking columns past every data column: row
@@ -128,13 +127,11 @@ def express_in_span(rows: list[Row], target: Row, order: int) -> list[CycNum] | 
     left it reads target - sum_j c_j * row_j, with -c_j at column
     top + 1 + j.  Rows and target must be rational (ValueError).
     """
-    one = CycNum.one(order)
     top = 1 + max((c for r in (*rows, target) for c in r), default=-1)
     ech = RowEchelon()
     for j, row in enumerate(rows):
-        ech.insert({**row, top + 1 + j: one})
-    res = ech.reduce({**target, top: one})
+        ech.insert({**row, top + 1 + j: ONE})
+    res = ech.reduce({**target, top: ONE})
     if min(res) < top:
         return None
-    zero = CycNum.zero(order)
-    return [-res.get(top + 1 + j, zero) for j in range(len(rows))]
+    return [-res.get(top + 1 + j, ZERO) for j in range(len(rows))]

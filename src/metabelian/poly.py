@@ -5,7 +5,8 @@ v1, u2, v2 (the commutator-ideal coordinates); the elements of both
 algebras are built from polynomials in these.  The printing and pivoting
 order is the lexicographic order on the exponent tuples in that variable
 order.  ``accumulate`` is the one place where a sparse sum adds a term
-and drops a coefficient that cancels to zero.
+and drops a coefficient that cancels to zero.  ``ONE`` and ``ZERO`` are
+the rational structural constants of every coefficient field.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from .cyclo import CycNum
 __all__ = [
     "CommPoly",
     "Monomial",
+    "ONE",
     "RationalSeries",
     "VARIABLES",
+    "ZERO",
     "accumulate",
     "intpoly_add",
     "intpoly_mul",
@@ -31,6 +34,10 @@ _NVARS = len(VARIABLES)
 
 # slot indices used throughout the package
 IU, IV, IU1, IV1, IU2, IV2 = range(6)
+
+# rationals combine with a CycNum of any order, so these serve every field
+ONE = CycNum.one(1)
+ZERO = CycNum.zero(1)
 
 
 def accumulate(out: dict, key, value) -> None:
@@ -117,9 +124,8 @@ class CommPoly:
         return cls({MONO_ONE: c})
 
     @classmethod
-    def variable(cls, name: str, order: int) -> CommPoly:
-        mono = Monomial.from_exponents({name: 1})
-        return cls._make({mono: CycNum.one(order)})
+    def variable(cls, name: str) -> CommPoly:
+        return cls._make({Monomial.from_exponents({name: 1}): ONE})
 
     @classmethod
     def linear(cls, cu: CycNum, cv: CycNum) -> CommPoly:

@@ -85,10 +85,7 @@ def random_lie(
     for _ in range(terms):
         a = rng.randint(0, inner)
         b = rng.randint(0, inner - a)
-        e = e + MetLieElem.from_comm(
-            CommPoly.term(Monomial((a, b)), coeff(rng, order)),
-            order=order,
-        )
+        e = e + MetLieElem.from_comm(CommPoly.term(Monomial((a, b)), coeff(rng, order)))
     return e
 
 

@@ -13,8 +13,8 @@ from metabelian.assoc import (
     commutator,
     from_word,
 )
-from metabelian.cyclo import CycNum, ambient_order
-from metabelian.invariants import _assoc_index, _assoc_row, invariant_generators_assoc
+from metabelian.cyclo import CycNum
+from metabelian.invariants import invariant_generators_assoc
 from metabelian.linalg import _integer_row
 from metabelian.poly import CommPoly, Monomial
 from helpers import inverse_matrix, random_assoc, random_matrix, random_word
@@ -41,7 +41,7 @@ def test_from_word_examples():
     assert uuvv.poly_part == CommPoly.term(_mono(2, 2), _one())
     assert uuvv.comm_part.is_zero()
 
-    assert from_word("") == MetAssocElem.one(4)
+    assert from_word("") == MetAssocElem.one()
     with pytest.raises(ValueError):
         from_word("uw")
 
@@ -93,7 +93,7 @@ def test_basis_counts_and_order():
     assert b2[1].poly_part == CommPoly.term(_mono(1, 1), _one())
     assert b2[2].poly_part == CommPoly.term(_mono(0, 2), _one())
     assert b2[3].comm_part == CommPoly.constant(_one())
-    assert basis(0) == [MetAssocElem.one(4)]
+    assert basis(0) == [MetAssocElem.one()]
 
 
 def test_word_oracle_exhaustive():
@@ -138,7 +138,7 @@ def test_scalar_and_power():
     e = random_assoc(rng, max_degree=3, terms=3)
     assert e * 2 == e + e
     assert e ** 2 == e * e
-    assert e ** 0 == MetAssocElem.one(4)
+    assert e ** 0 == MetAssocElem.one()
 
 
 def test_word_concat_randomized():
@@ -166,11 +166,14 @@ def test_linear_image_inverse_round_trip():
         assert e.linear_image(*g).linear_image(*inverse_matrix(*g)) == e
 
 
+def _by_exponents(e):
+    return {m.exps: c for p in (e.poly_part, e.comm_part) for m, c in p.terms.items()}
+
+
 def _assert_word_times_matches_products(g, max_degree=10):
     """Every basis word of degree <= max_degree times g, in closed form
     on integer terms, against ``__mul__`` scaled by the same denominator."""
-    dg = g.homogeneous_degree()
-    _, den = _integer_row(_assoc_row(g, dg))
+    _, den = _integer_row(_by_exponents(g))
 
     def terms(part):
         return [(m.exps, int(c.rational_value() * den)) for m, c in part.terms.items()]
@@ -178,11 +181,10 @@ def _assert_word_times_matches_products(g, max_degree=10):
     poly_terms, comm_terms = terms(g.poly_part), terms(g.comm_part)
     for e in range(max_degree + 1):
         poly, comm = basis_monomials(e)
-        index = _assoc_index(e + dg)
-        for j, (m, word) in enumerate(zip(poly + comm, basis(e, g.order))):
+        for j, (m, word) in enumerate(zip(poly + comm, basis(e))):
             image = _word_times(m.exps, j >= len(poly), poly_terms, comm_terms)
-            expect = {c: v.rational_value() * den for c, v in _assoc_row(word * g, e + dg).items()}
-            assert {index[k]: x for k, x in image.items()} == expect, (m, g)
+            expect = {k: v.rational_value() * den for k, v in _by_exponents(word * g).items()}
+            assert image == expect, (m, g)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -193,9 +195,8 @@ def test_word_times_matches_products_by_generators(n):
 
 def test_word_times_matches_products_by_random_rationals():
     rng = Random(83)
-    order = ambient_order(3)
     for k in range(1, 7):
-        words = basis(k, order)
+        words = basis(k)
         for _ in range(3):
             g = MetAssocElem.zero()
             for w in rng.sample(words, min(len(words), 5)):

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
@@ -49,6 +51,48 @@ def test_canon_parse_error_exit_2(capsys):
     code, _, err = _run(capsys, "canon", "v**u")
     assert code == 2
     assert "syntax error" in err
+
+
+@pytest.mark.parametrize("text", ["²", "٣*u", "u^²"])
+def test_non_ascii_digits_are_syntax_errors(capsys, text):
+    # INT is ASCII 0-9: other digits neither crash int() nor read as numbers
+    code, out, err = _run(capsys, "canon", text)
+    assert code == 2 and out == ""
+    assert "syntax error" in err
+
+
+_DIGITS = "0123456789"
+_GRAMMAR = "uvxyi+-*^()[],/ " + _DIGITS
+# non-ASCII digits and letters, whitespace and control characters
+_FOREIGN = "²٣५١éßΩ\t\n\r\x00\x1b\x7f\u3000"
+
+
+def _fuzz_text(rng: Random) -> str:
+    """Up to 8 characters, mostly from the grammar, with no two digits in
+    a row, so that every number, and so every exponent, is one digit."""
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        ch = rng.choice(_GRAMMAR if rng.random() < 0.85 else _FOREIGN)
+        while ch in _DIGITS and out and out[-1] in _DIGITS:
+            ch = rng.choice(_GRAMMAR)
+        out.append(ch)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("command", [("canon",), ("reynolds", "--n", "3")])
+def test_cli_fuzz_exits_0_or_2(capsys, monkeypatch, command):
+    # an empty text, or "--", reads the expression from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    rng = Random(20261018)
+    for _ in range(400):
+        text = _fuzz_text(rng)
+        try:
+            code = cli.main([*command, text])
+        except SystemExit as exc:  # argparse's own usage exits
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2), (text, err)
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 900, 3000])
@@ -225,6 +269,21 @@ def test_verify_cst_huge_n_is_bounded():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_verify_assoc_large_n_is_bounded():
+    # generators above --max-deg are validated but build no rows, so the
+    # degree-(2n+2) corner generator's basis is never enumerated
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metabelian.cli", "verify", "assoc", "--n", "150",
+         "--max-deg", "6", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["ok"] is True and len(payload["degrees"]) == 7
 
 
 def test_verify_exit_1_on_any_mismatch(capsys, monkeypatch):

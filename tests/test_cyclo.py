@@ -100,6 +100,42 @@ def test_zero_division_reported():
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
         root_of_unity(12, 1) + root_of_unity(20, 1)
+    # two non-rational values of different orders refuse every operation
+    x, y = root_of_unity(12, 1), root_of_unity(20, 1)
+    for op in (lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            op(x, y)
+
+
+ORDERS = (1, 3, 4, 12, 20, 28)
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_rationals_combine_with_every_order(m):
+    # a rational of any order k acts on x of order m as the same
+    # rational of order m; the result has the order of x
+    rng = Random(500 + m)
+    for _ in range(12):
+        x = random_cyc(rng, m)
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        same = CycNum.from_rational(m, q)
+        for k in ORDERS:
+            r = CycNum.from_rational(k, q)
+            assert r == same and hash(r) == hash(same)
+            pairs = [
+                (r + x, same + x), (x + r, x + same),
+                (r - x, same - x), (x - r, x - same),
+                (r * x, same * x), (x * r, x * same),
+            ]
+            if q:
+                pairs.append((x / r, x / same))
+            if x:
+                pairs.append((r / x, same / x))
+            for got, want in pairs:
+                assert got == want and hash(got) == hash(want)
+                assert got.coeffs == want.coeffs
+                if not x.is_rational():
+                    assert got.order == m
 
 
 def test_gaussian_detection():

@@ -70,7 +70,7 @@ def test_action_examples():
     m = ambient_order(n)
     rho = DihedralElement(n, 1, False)
     tau = DihedralElement(n, 0, True)
-    uv = from_word("uv", m)
+    uv = from_word("uv")
     assert act_assoc(rho, uv) == uv
     br = MetAssocElem.from_comm(CommPoly.constant(CycNum.one(m)))
     assert act_assoc(tau, br) == br.scale(-1)
@@ -83,7 +83,7 @@ def test_action_examples():
     )
     assert act_assoc(tau, w) == expect
     # tau on a plain word straightens: tau(uv) = vu = uv + [v,u]
-    assert act_assoc(tau, uv) == from_word("vu", m)
+    assert act_assoc(tau, uv) == from_word("vu")
 
 
 def test_action_respects_multiplication():
@@ -101,29 +101,25 @@ def test_act_lie_examples():
     m = ambient_order(n)
     rho = DihedralElement(n, 1, False)
     tau = DihedralElement(n, 0, True)
-    br = MetLieElem.from_comm(CommPoly.constant(CycNum.one(m)), order=m)
+    br = MetLieElem.from_comm(CommPoly.constant(CycNum.one(m)))
     assert act_lie(rho, br) == br
-    u = MetLieElem.generator("u", m)
+    u = MetLieElem.generator("u")
     assert act_lie(rho, u) == u.scale(rotation_scalar(n, 1))
     # tau([v,u] ad^n(u)) = -[v,u] ad^n(v)
-    cu = MetLieElem.from_comm(
-        CommPoly.term(Monomial((n, 0)), CycNum.one(m)), order=m
-    )
-    cv = MetLieElem.from_comm(
-        CommPoly.term(Monomial((0, n)), CycNum.one(m)), order=m
-    )
+    cu = MetLieElem.from_comm(CommPoly.term(Monomial((n, 0)), CycNum.one(m)))
+    cv = MetLieElem.from_comm(CommPoly.term(Monomial((0, n)), CycNum.one(m)))
     assert act_lie(tau, cu) == cv.scale(-1)
 
 
 def test_reynolds_examples():
     for n in (3, 4):
         m = ambient_order(n)
-        uv = from_word("uv", m)
+        uv = from_word("uv")
         half_bracket = MetAssocElem.from_comm(
             CommPoly.constant(CycNum.from_rational(m, Fraction(1, 2)))
         )
         assert reynolds_assoc(n, uv) == uv + half_bracket
-        assert reynolds_assoc(n, MetAssocElem.letter("u", m)).is_zero()
+        assert reynolds_assoc(n, MetAssocElem.letter("u")).is_zero()
         br = MetAssocElem.from_comm(CommPoly.constant(CycNum.one(m)))
         assert reynolds_assoc(n, br).is_zero()
 
@@ -202,7 +198,7 @@ def test_commutative_action():
         assert act_uv(g, uv) == uv
         assert act_uv(g, psum) == psum
     # u alone averages to zero
-    assert reynolds_uv(n, CommPoly.variable("u", m)).is_zero()
+    assert reynolds_uv(n, CommPoly.variable("u")).is_zero()
 
 
 def test_rotation_weight_is_the_rotation_eigenvalue():

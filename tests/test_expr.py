@@ -97,10 +97,8 @@ def test_print_examples():
 
 
 def test_print_lie():
-    order = 4
-    e = MetLieElem.generator("u", order) + MetLieElem.from_comm(
-        CommPoly.term(Monomial((2, 1)), CycNum.from_rational(order, 3)),
-        order=order,
+    e = MetLieElem.generator("u") + MetLieElem.from_comm(
+        CommPoly.term(Monomial((2, 1)), CycNum.from_rational(4, 3))
     )
     assert print_elem(e) == "u + 3*[v,u] ad(u)^2 ad(v)"
     assert "[y,x]" in print_elem(e, "xy")

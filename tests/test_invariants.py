@@ -78,12 +78,9 @@ def _check_against_group_average(basis, monomial_elems, n, act):
 
 def test_invariant_basis_is_fixed_and_matches_group_average():
     for n in range(3, 7):
-        order = ambient_order(n)
         for d in range(11):
             basis = invariant_basis_assoc(n, d)
-            _check_against_group_average(
-                basis, assoc_basis(d, order), n, act_assoc
-            )
+            _check_against_group_average(basis, assoc_basis(d), n, act_assoc)
             for e in basis:
                 assert reynolds_assoc(n, e) == e
 
@@ -107,10 +104,7 @@ def test_lie_basis_matches_group_average():
         one = CycNum.one(order)
         for d in range(31):
             if d < 2:
-                monos = [
-                    MetLieElem.generator("u", order),
-                    MetLieElem.generator("v", order),
-                ][: 2 * d]
+                monos = [MetLieElem.generator("u"), MetLieElem.generator("v")][: 2 * d]
             else:
                 monos = [
                     MetLieElem.from_comm(CommPoly.term(Monomial((a, d - 2 - a)), one))
@@ -288,10 +282,9 @@ def test_subalgebra_filtration_three_way():
 
 
 def test_subalgebra_filtration_negative_control():
-    order = ambient_order(3)
     gens = [
-        from_word("uv", order) + from_word("vu", order),
-        from_word("uuu", order) + from_word("vvv", order),
+        from_word("uv") + from_word("vu"),
+        from_word("uuu") + from_word("vvv"),
     ]
     reports = subalgebra_filtration(gens, 3, 6)
     first_bad = next(r for r in reports if not r.ok)
@@ -306,21 +299,23 @@ def test_subalgebra_filtration_empty_gens():
 
 
 def test_subalgebra_filtration_rejects_bad_generators():
-    order = ambient_order(3)
-    inhomogeneous = MetAssocElem.letter("u", order) + from_word("uu", order)
+    inhomogeneous = MetAssocElem.letter("u") + from_word("uu")
     with pytest.raises(ValueError):
         subalgebra_filtration([inhomogeneous], 3, 4)
-    not_invariant = MetAssocElem.letter("u", order)
-    with pytest.raises(ValueError):
-        subalgebra_filtration([not_invariant], 3, 4)
+    not_invariant = MetAssocElem.letter("u")
+    # a generator above max_degree is validated as well
+    for max_degree in (4, 0):
+        with pytest.raises(ValueError, match="invariant"):
+            subalgebra_filtration([not_invariant], 3, max_degree)
 
 
 def test_subalgebra_filtration_rejects_non_rational_generators():
     order = ambient_order(3)
     lift = invariant_generators_assoc(3)[0]
     assert reynolds_assoc(3, lift.scale(imag_unit(order))) == lift.scale(imag_unit(order))
-    with pytest.raises(ValueError, match="rational coefficients"):
-        subalgebra_filtration([lift.scale(imag_unit(order))], 3, 4)
+    for max_degree in (4, 1):
+        with pytest.raises(ValueError, match="rational coefficients"):
+            subalgebra_filtration([lift.scale(imag_unit(order))], 3, max_degree)
 
 
 def test_module_span_check_cuv():

@@ -9,18 +9,16 @@ from metabelian.poly import CommPoly, Monomial
 from helpers import inverse_matrix, random_lie, random_matrix
 
 
-def _u(order=4):
-    return MetLieElem.generator("u", order)
+def _u():
+    return MetLieElem.generator("u")
 
 
-def _v(order=4):
-    return MetLieElem.generator("v", order)
+def _v():
+    return MetLieElem.generator("v")
 
 
-def _comm(a, b, order=4):
-    return MetLieElem.from_comm(
-        CommPoly.term(Monomial((a, b)), CycNum.one(order)), order=order
-    )
+def _comm(a, b):
+    return MetLieElem.from_comm(CommPoly.term(Monomial((a, b)), CycNum.one(4)))
 
 
 def test_bracket_examples():
@@ -35,9 +33,7 @@ def test_bracket_linear_coefficient():
     a, b, c, d = (CycNum.from_rational(4, q) for q in (2, 3, 5, 7))
     e1 = MetLieElem(a, b)
     e2 = MetLieElem(c, d)
-    expected = MetLieElem.from_comm(
-        CommPoly.constant(b * c - a * d), order=4
-    )
+    expected = MetLieElem.from_comm(CommPoly.constant(b * c - a * d))
     assert bracket(e1, e2) == expected
 
 
@@ -110,10 +106,7 @@ def test_ad_operators_commute_on_commutator_ideal():
     rng = Random(31)
     for _ in range(40):
         c = MetLieElem.from_comm(
-            CommPoly.term(
-                Monomial((rng.randint(0, 3), rng.randint(0, 3))), CycNum.one(4)
-            ),
-            order=4,
+            CommPoly.term(Monomial((rng.randint(0, 3), rng.randint(0, 3))), CycNum.one(4))
         )
         uv = bracket(bracket(c, _u()), _v())
         vu = bracket(bracket(c, _v()), _u())

@@ -35,24 +35,24 @@ def test_express_in_span():
     g1 = {1: one, 2: one}
     # 2*g0 - 3/2*g1
     target = {0: _c(2), 1: _c(Fraction(5, 2)), 2: _c(Fraction(-3, 2))}
-    assert express_in_span([g0, g1], target, 4) == [_c(2), _c(Fraction(-3, 2))]
+    assert express_in_span([g0, g1], target) == [_c(2), _c(Fraction(-3, 2))]
     # 2*g0 + i*g1 has a non-rational entry, as does a generator here
     with pytest.raises(ValueError):
-        express_in_span([g0, g1], {0: _c(2), 1: _c(4) + i, 2: i}, 4)
+        express_in_span([g0, g1], {0: _c(2), 1: _c(4) + i, 2: i})
     with pytest.raises(ValueError):
-        express_in_span([g0, {1: one, 2: i}], target, 4)
+        express_in_span([g0, {1: one, 2: i}], target)
 
 
 def test_express_in_span_failure():
     one = CycNum.one(4)
-    assert express_in_span([{0: one}], {1: one}, 4) is None
+    assert express_in_span([{0: one}], {1: one}) is None
 
 
 def test_express_handles_dependent_generators():
     one = CycNum.one(4)
     g0 = {0: one}
     g1 = {0: _c(2)}
-    coeffs = express_in_span([g0, g1], {0: _c(6)}, 4)
+    coeffs = express_in_span([g0, g1], {0: _c(6)})
     assert coeffs is not None
     total = coeffs[0] * 1 + coeffs[1] * 2
     assert total == _c(6)
@@ -165,7 +165,8 @@ def _check_against_reference(rows, queries, order, width):
         if _is_rational(query):
             got = ech.reduce(_as_cyc(query, order))
             assert got == _as_cyc(ref.reduce(query), order)
-            assert all(v.order == order for v in got.values())
+            # rational CycNum entries, whatever the order of the input
+            assert all(isinstance(v, CycNum) and v.is_rational() for v in got.values())
         else:
             _assert_rejected(ech, ech.reduce, query)
     got_rows = ech.rows()
