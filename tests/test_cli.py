@@ -258,15 +258,21 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_verify_cst_huge_n_is_bounded():
-    # checks rho and tau only, so n = 10^8 needs neither the group list
-    # nor more than 1 GiB (the limit applies to the child alone)
+def _run_capped(*argv):
+    """The CLI in a child process limited to 1 GiB of address space (the
+    limit applies to the child alone)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "metabelian.cli", "verify", "cst", "--n", "100000000", "--json"],
+    return subprocess.run(
+        [sys.executable, "-m", "metabelian.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=_limit_address_space,
     )
+
+
+def test_verify_cst_huge_n_is_bounded():
+    # checks rho and tau only, so n = 10^8 needs neither the group list
+    # nor more than 1 GiB
+    proc = _run_capped("verify", "cst", "--n", "100000000", "--json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
 
@@ -274,13 +280,7 @@ def test_verify_cst_huge_n_is_bounded():
 def test_verify_assoc_large_n_is_bounded():
     # generators above --max-deg are validated but build no rows, so the
     # degree-(2n+2) corner generator's basis is never enumerated
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "metabelian.cli", "verify", "assoc", "--n", "150",
-         "--max-deg", "6", "--json"],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=_limit_address_space,
-    )
+    proc = _run_capped("verify", "assoc", "--n", "150", "--max-deg", "6", "--json")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["ok"] is True and len(payload["degrees"]) == 7
