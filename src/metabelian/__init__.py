@@ -37,6 +37,6 @@ from .invariants import (
     subalgebra_filtration,
 )
 from .lie import MetLieElem, bracket, embed_assoc
-from .poly import CommPoly, Monomial, RationalSeries
+from .poly import CommPoly, RationalSeries
 
 __version__ = "0.1.0"

@@ -4,7 +4,10 @@ An element is a pair (poly_part, comm_part).  The poly part collects the
 basis words u^a v^b as a commutative polynomial in u, v.  The comm part
 encodes the commutator ideal: the monomial u1^a v1^b u2^c v2^d stands for
 the basis word u^a v^b [v,u] u^c v^d, with u1, v1 tracking multipliers on
-the left of [v,u] and u2, v2 multipliers on the right.  This works
+the left of [v,u] and u2, v2 multipliers on the right.  Both parts are
+keyed by the six-slot exponent tuples of ``poly``, (a, b, 0, 0, 0, 0)
+and (0, 0, a, b, c, d): the one monomial format of the package, which
+``_word_times`` and the row columns of ``invariants`` share.  This works
 because left factors of a commutator commute with each other, right
 factors commute with each other, and any product of two commutator terms
 vanishes.
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycNum
-from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE, CommPoly, Monomial, accumulate
+from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE, CommPoly, accumulate, uv
 
 __all__ = [
     "MetAssocElem",
@@ -34,19 +37,17 @@ __all__ = [
 ]
 
 
-def _comm_monomial(a: int, b: int, c: int, d: int) -> Monomial:
-    return Monomial((0, 0, a, b, c, d))
+def _comm_monomial(a: int, b: int, c: int, d: int) -> tuple[int, ...]:
+    return (0, 0, a, b, c, d)
 
 
 def _cross_term(p1: CommPoly, p2: CommPoly) -> CommPoly:
     """Commutator terms of (sum of u^a v^b) * (sum of u^c v^d)."""
-    out: dict[Monomial, CycNum] = {}
-    for m1, c1 in p1.terms.items():
-        a, b = m1.exps[0], m1.exps[1]
+    out: dict[tuple[int, ...], CycNum] = {}
+    for (a, b, *_), c1 in p1.terms.items():
         if b == 0:
             continue
-        for m2, c2 in p2.terms.items():
-            c, d = m2.exps[0], m2.exps[1]
+        for (c, d, *_), c2 in p2.terms.items():
             if c == 0:
                 continue
             coeff = c1 * c2
@@ -186,7 +187,7 @@ class MetAssocElem:
         gu, gv = MetAssocElem(lu), MetAssocElem(lv)
         pu, pv = [MetAssocElem.one()], [MetAssocElem.one()]
         for mono, coeff in self.poly_part.terms.items():
-            p, q = mono.exps[IU], mono.exps[IV]
+            p, q = mono[IU], mono[IV]
             while len(pu) <= p:
                 pu.append(pu[-1] * gu)
             while len(pv) <= q:
@@ -211,8 +212,8 @@ class MetAssocElem:
         return max(dp, dc + 2 if dc >= 0 else -1)
 
     def homogeneous_degree(self) -> int | None:
-        degs = {m.degree() for m in self.poly_part.terms}
-        degs |= {m.degree() + 2 for m in self.comm_part.terms}
+        degs = set(map(sum, self.poly_part.terms))
+        degs |= {sum(m) + 2 for m in self.comm_part.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def __eq__(self, other) -> bool:
@@ -238,7 +239,7 @@ def commutator(e1: MetAssocElem, e2: MetAssocElem) -> MetAssocElem:
 def _mono_times_u(a: int, b: int) -> MetAssocElem:
     """Straighten the word u^a v^b u with one vu = uv + [v,u] rewrite per step."""
     if b == 0:
-        return MetAssocElem(CommPoly.term(Monomial((a + 1,)), ONE))
+        return MetAssocElem(CommPoly.term(uv(a + 1, 0), ONE))
     rec = _mono_times_u(a, b - 1)
     appended = _times_v(rec)
     bump = CommPoly.term(_comm_monomial(a, b - 1, 0, 0), ONE)
@@ -252,19 +253,18 @@ def _times_v(e: MetAssocElem) -> MetAssocElem:
     commutator term are already canonical (right factors of a commutator
     commute).
     """
-    shift = Monomial.from_exponents({"v2": 1})
-    comm_terms = {m * shift: c for m, c in e.comm_part.terms.items()}
-    vstep = Monomial.from_exponents({"v": 1})
-    poly_terms = {m * vstep: c for m, c in e.poly_part.terms.items()}
-    return MetAssocElem(CommPoly._make(poly_terms), CommPoly._make(comm_terms))
+    terms = e.comm_part.terms.items()
+    comm = {_comm_monomial(a, b, c, d + 1): x for (_, _, a, b, c, d), x in terms}
+    poly = {uv(a, b + 1): x for (a, b, *_), x in e.poly_part.terms.items()}
+    return MetAssocElem(CommPoly._make(poly), CommPoly._make(comm))
 
 
 def _times_u(e: MetAssocElem) -> MetAssocElem:
-    shift = Monomial.from_exponents({"u2": 1})
-    comm = CommPoly._make({m * shift: c for m, c in e.comm_part.terms.items()})
-    out = MetAssocElem.from_comm(comm)
-    for mono, c in e.poly_part.terms.items():
-        out = out + _mono_times_u(mono.exps[0], mono.exps[1]).scale(c)
+    terms = e.comm_part.terms.items()
+    comm = {_comm_monomial(a, b, c + 1, d): x for (_, _, a, b, c, d), x in terms}
+    out = MetAssocElem.from_comm(CommPoly._make(comm))
+    for (a, b, *_), c in e.poly_part.terms.items():
+        out = out + _mono_times_u(a, b).scale(c)
     return out
 
 
@@ -285,13 +285,13 @@ def from_word(word: str) -> MetAssocElem:
 
 
 @lru_cache(maxsize=None)
-def uv_monomials(degree: int) -> tuple[Monomial, ...]:
+def uv_monomials(degree: int) -> tuple[tuple[int, ...], ...]:
     """The basis words u^a v^b of degree d, largest first; empty for d < 0."""
-    return tuple(Monomial((a, degree - a)) for a in range(degree, -1, -1))
+    return tuple(uv(a, degree - a) for a in range(degree, -1, -1))
 
 
 @lru_cache(maxsize=None)
-def basis_monomials(degree: int) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
+def basis_monomials(degree: int) -> tuple[tuple, tuple]:
     """Degree-d basis monomials, largest first in the monomial order: the
     u^a v^b block, then the commutator block."""
     inner = degree - 2

@@ -16,6 +16,7 @@ from .invariants import (
     DegreeReport,
     cst_sanity,
     cuv_module_generators,
+    default_max_degree,
     hilbert_assoc,
     hilbert_cuv,
     hilbert_lie,
@@ -32,6 +33,13 @@ def _n_arg(text: str) -> int:
     value = int(text)
     if value < 3:
         raise argparse.ArgumentTypeError("n must be at least 3")
+    return value
+
+
+def _max_deg_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
@@ -59,14 +67,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "target", choices=("assoc", "lie", "cuv-module", "cst")
     )
     verify.add_argument("--n", type=_n_arg, required=True)
-    verify.add_argument("--max-deg", type=int, default=None)
+    verify.add_argument("--max-deg", type=_max_deg_arg)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
     hilb = sub.add_parser("hilbert", help="expand a closed-form series")
     hilb.add_argument("which", choices=("assoc", "lie", "cuv"))
     hilb.add_argument("--n", type=_n_arg, required=True)
-    hilb.add_argument("--max-deg", type=int, default=None)
+    hilb.add_argument("--max-deg", type=_max_deg_arg)
     hilb.set_defaults(func=_cmd_hilbert)
 
     return parser
@@ -103,12 +111,7 @@ def _report_payload(n: int, command: str, reports: list[DegreeReport]) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    n = args.n
-    max_deg = args.max_deg if args.max_deg is not None else 2 * n + 4
-    if max_deg < 0:
-        print("error: --max-deg must be nonnegative", file=sys.stderr)
-        return 2
-
+    n, max_deg = args.n, args.max_deg
     if args.target == "cst":
         report = cst_sanity(n)
         payload = {
@@ -151,10 +154,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     n = args.n
-    max_deg = args.max_deg if args.max_deg is not None else 2 * n + 4
-    if max_deg < 0:
-        print("error: --max-deg must be nonnegative", file=sys.stderr)
-        return 2
+    max_deg = default_max_degree(n) if args.max_deg is None else args.max_deg
     series = {"assoc": hilbert_assoc, "lie": hilbert_lie, "cuv": hilbert_cuv}[
         args.which
     ](n)

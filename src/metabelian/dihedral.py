@@ -28,7 +28,7 @@ from functools import lru_cache
 from .assoc import MetAssocElem
 from .cyclo import CycNum, ambient_order, root_of_unity
 from .lie import MetLieElem
-from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE, CommPoly, Monomial, accumulate
+from .poly import ONE, CommPoly, accumulate, uv
 
 __all__ = [
     "DihedralElement",
@@ -97,27 +97,27 @@ def rotation_scalar(n: int, j: int) -> CycNum:
 @lru_cache(maxsize=None)
 def _swap_straighten(a: int, b: int) -> MetAssocElem:
     """Canonical form of the word v^a u^b."""
-    va = MetAssocElem(CommPoly.term(Monomial((0, a)), ONE))
-    ub = MetAssocElem(CommPoly.term(Monomial((b, 0)), ONE))
+    va = MetAssocElem(CommPoly.term(uv(0, a), ONE))
+    ub = MetAssocElem(CommPoly.term(uv(b, 0), ONE))
     return va * ub
 
 
-def rotation_weight(mono: Monomial) -> int:
+def rotation_weight(mono: tuple[int, ...]) -> int:
     """The exponent w with rho(mono) = xi^w * mono.
 
     u, u1, u2 weigh +1 and v, v1, v2 weigh -1, so u^a v^b has weight
     a - b and the commutator monomial u1^a v1^b u2^c v2^d has weight
     a - b + c - d.
     """
-    e = mono.exps
-    return e[IU] - e[IV] + e[IU1] - e[IV1] + e[IU2] - e[IV2]
+    u, v, u1, v1, u2, v2 = mono
+    return u - v + u1 - v1 + u2 - v2
 
 
-def swap(mono: Monomial) -> Monomial:
+def swap(mono: tuple[int, ...]) -> tuple[int, ...]:
     """u <-> v, u1 <-> v1 and u2 <-> v2: where tau sends a monomial,
     up to sign and straightening."""
-    u, v, u1, v1, u2, v2 = mono.exps
-    return Monomial((v, u, v1, u1, v2, u2))
+    u, v, u1, v1, u2, v2 = mono
+    return (v, u, v1, u1, v2, u2)
 
 
 def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
@@ -128,15 +128,15 @@ def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
     Rational coefficients serve any g, and a reflection alone (rot 0)
     takes coefficients from any one field.
     """
-    poly_out: dict[Monomial, CycNum] = {}
-    comm_out: dict[Monomial, CycNum] = {}
+    poly_out: dict[tuple[int, ...], CycNum] = {}
+    comm_out: dict[tuple[int, ...], CycNum] = {}
 
     for mono, c in e.poly_part.terms.items():
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if not g.flip:
             accumulate(poly_out, mono, s)
         else:
-            w = _swap_straighten(mono.exps[IU], mono.exps[IV])
+            w = _swap_straighten(mono[0], mono[1])
             for m2, c2 in w.poly_part.terms.items():
                 accumulate(poly_out, m2, s * c2)
             for m2, c2 in w.comm_part.terms.items():
@@ -161,7 +161,7 @@ def act_lie(g: DihedralElement, e: MetLieElem) -> MetLieElem:
         lin_u = e.lin_u * rotation_scalar(g.n, g.rot)
         lin_v = e.lin_v * rotation_scalar(g.n, -g.rot)
 
-    comm_out: dict[Monomial, CycNum] = {}
+    comm_out: dict[tuple[int, ...], CycNum] = {}
     for mono, c in e.comm.terms.items():
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:
@@ -175,7 +175,7 @@ def act_uv(g: DihedralElement, p: CommPoly) -> CommPoly:
     """The action on a commutative polynomial ring by monomial scaling
     and the swap: on the ring in u, v, and as ``act_tensor`` the
     diagonal action (no sign twist) on the ring in u1, v1, u2, v2."""
-    out: dict[Monomial, CycNum] = {}
+    out: dict[tuple[int, ...], CycNum] = {}
     for mono, c in p.terms.items():
         s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
         if g.flip:

@@ -29,6 +29,7 @@ z(m,k) notation for display only.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +38,7 @@ from itertools import chain
 from .assoc import MetAssocElem
 from .cyclo import CycNum, _fraction_text, imag_unit
 from .lie import MetLieElem
-from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE, Monomial
+from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE
 
 __all__ = [
     "Bracket",
@@ -180,6 +181,17 @@ _ATOM_EXPECTED = ("a number", "'i'", "'u'", "'v'", "'x'", "'y'", "'('", "'['")
 MAX_NESTING = 100
 
 
+def _int_value(tok: _Token) -> int:
+    """An INT token's value; ``int`` refuses more digits than
+    ``sys.get_int_max_str_digits()``, so such a literal is a syntax error."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        expected = f"an integer of at most {sys.get_int_max_str_digits()} digits"
+        found = f"a {len(tok.text)}-digit integer"
+        raise ExprSyntaxError(tok.pos, (expected,), found) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -235,19 +247,18 @@ class _Parser:
             self.advance()
             if self.peek().kind != "int":
                 self.fail(("a nonnegative integer exponent",))
-            tok = self.advance()
-            node = Power(node, int(tok.text))
+            node = Power(node, _int_value(self.advance()))
         return node
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            num = int(tok.text)
+            num = _int_value(tok)
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.expect("int")
-                den = int(den_tok.text)
+                den = _int_value(den_tok)
                 if den == 0:
                     raise ExprSyntaxError(
                         den_tok.pos, ("a nonzero denominator",), "'0'"
@@ -411,26 +422,26 @@ def _power_text(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
-def _uv_mono_text(mono: Monomial, letters: tuple[str, str]) -> str:
+def _uv_mono_text(mono: tuple[int, ...], letters: tuple[str, str]) -> str:
     parts = []
-    if mono.exps[IU]:
-        parts.append(_power_text(letters[0], mono.exps[IU]))
-    if mono.exps[IV]:
-        parts.append(_power_text(letters[1], mono.exps[IV]))
+    if mono[IU]:
+        parts.append(_power_text(letters[0], mono[IU]))
+    if mono[IV]:
+        parts.append(_power_text(letters[1], mono[IV]))
     return "*".join(parts)
 
 
-def _comm_mono_text(mono: Monomial, letters: tuple[str, str], bracket: str) -> str:
+def _comm_mono_text(mono: tuple[int, ...], letters: tuple[str, str], bracket: str) -> str:
     parts = []
-    if mono.exps[IU1]:
-        parts.append(_power_text(letters[0], mono.exps[IU1]))
-    if mono.exps[IV1]:
-        parts.append(_power_text(letters[1], mono.exps[IV1]))
+    if mono[IU1]:
+        parts.append(_power_text(letters[0], mono[IU1]))
+    if mono[IV1]:
+        parts.append(_power_text(letters[1], mono[IV1]))
     parts.append(bracket)
-    if mono.exps[IU2]:
-        parts.append(_power_text(letters[0], mono.exps[IU2]))
-    if mono.exps[IV2]:
-        parts.append(_power_text(letters[1], mono.exps[IV2]))
+    if mono[IU2]:
+        parts.append(_power_text(letters[0], mono[IU2]))
+    if mono[IV2]:
+        parts.append(_power_text(letters[1], mono[IV2]))
     return "*".join(parts)
 
 
@@ -451,10 +462,10 @@ def _print_lie(e: MetLieElem, letters: tuple[str, str], bracket: str) -> str:
         chunks.append((e.lin_v, letters[1]))
     for mono, c in e.comm.sorted_terms():
         parts = [bracket]
-        if mono.exps[IU]:
-            parts.append(_power_text(f"ad({letters[0]})", mono.exps[IU]))
-        if mono.exps[IV]:
-            parts.append(_power_text(f"ad({letters[1]})", mono.exps[IV]))
+        if mono[IU]:
+            parts.append(_power_text(f"ad({letters[0]})", mono[IU]))
+        if mono[IV]:
+            parts.append(_power_text(f"ad({letters[1]})", mono[IV]))
         chunks.append((c, " ".join(parts)))
     return _join_terms(chunks)
 

@@ -34,11 +34,11 @@ from .poly import (
     IU2,
     ONE,
     CommPoly,
-    Monomial,
     RationalSeries,
     accumulate,
     intpoly_add,
     intpoly_mul,
+    uv,
 )
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "corner_generator_relation",
     "cst_sanity",
     "cuv_module_generators",
+    "default_max_degree",
     "hilbert_assoc",
     "hilbert_cuv",
     "hilbert_lie",
@@ -83,6 +84,12 @@ class DegreeReport:
         }
 
 
+def default_max_degree(n: int) -> int:
+    """The degree a check runs to when none is given: 2n + 4, past the
+    degree-(2n+2) corner generator."""
+    return 2 * n + 4
+
+
 # ----------------------------------------------------------------------
 # Coordinates
 # ----------------------------------------------------------------------
@@ -91,10 +98,10 @@ class DegreeReport:
 def _assoc_index(d: int) -> dict[tuple[int, ...], int]:
     """Columns of the degree-d basis, keyed by exponent tuple."""
     poly, comm = basis_monomials(d)
-    return {m.exps: j for j, m in enumerate(poly + comm)}
+    return {m: j for j, m in enumerate(poly + comm)}
 
 
-def _poly_row(p: CommPoly, index: dict[Monomial, int]) -> dict[int, CycNum]:
+def _poly_row(p: CommPoly, index: dict[tuple[int, ...], int]) -> dict[int, CycNum]:
     return {index[m]: c for m, c in p.terms.items()}
 
 
@@ -123,7 +130,7 @@ def _tau_orbit_images(n: int, monos, wrap, reynolds) -> tuple:
         if rotation_weight(m) % n:
             continue
         s = swap(m)
-        if s.exps > m.exps:
+        if s > m:
             continue
         r = reynolds(n, wrap(CommPoly.term(m, ONE)))
         if not r.is_zero():
@@ -171,19 +178,18 @@ def invariant_basis_lie(n: int, d: int) -> list[MetLieElem]:
 # Closed-form Hilbert series
 # ----------------------------------------------------------------------
 
-def _one_minus_t(k: int) -> tuple[int, ...]:
-    return (1,) + (0,) * (k - 1) + (-1,)
+def _one_minus_t(k: int) -> dict[int, int]:
+    return {0: 1, k: -1}
 
 
 def hilbert_cuv(n: int) -> RationalSeries:
     """Series of the commutative invariant ring, 1/((1-t^2)(1-t^n))."""
-    return RationalSeries((1,), intpoly_mul(_one_minus_t(2), _one_minus_t(n)))
+    return RationalSeries({0: 1}, intpoly_mul(_one_minus_t(2), _one_minus_t(n)))
 
 
 def hilbert_lie(n: int) -> RationalSeries:
     """Series of the Lie invariants, t^(n+2)/((1-t^2)(1-t^n))."""
-    num = (0,) * (n + 2) + (1,)
-    return RationalSeries(num, intpoly_mul(_one_minus_t(2), _one_minus_t(n)))
+    return RationalSeries({n + 2: 1}, intpoly_mul(_one_minus_t(2), _one_minus_t(n)))
 
 
 def hilbert_assoc(n: int, *, corner: bool = True) -> RationalSeries:
@@ -209,11 +215,11 @@ def hilbert_assoc(n: int, *, corner: bool = True) -> RationalSeries:
     quotient = hilbert_cuv(n)
     top = 2 * n if corner else 2 * n - 2
     # (n+1) t^(n+2) (1 - t^2) + t^4 (1 - t^top), all over (1 - t^2)
-    num_a = intpoly_mul((0,) * (n + 2) + (n + 1,), _one_minus_t(2))
-    num_b = intpoly_mul((0, 0, 0, 0, 1), _one_minus_t(top))
+    num_a = intpoly_mul({n + 2: n + 1}, _one_minus_t(2))
+    num_b = intpoly_mul({4: 1}, _one_minus_t(top))
     gen_degrees = RationalSeries(intpoly_add(num_a, num_b), _one_minus_t(2))
     den2 = intpoly_mul(_one_minus_t(2), _one_minus_t(n))
-    module = gen_degrees * RationalSeries((1,), intpoly_mul(den2, den2))
+    module = gen_degrees * RationalSeries({0: 1}, intpoly_mul(den2, den2))
     return quotient + module
 
 
@@ -225,8 +231,8 @@ def cuv_module_generators(n: int) -> list[CommPoly]:
     """1, u, ..., u^n, v, ..., v^(n-1): a free basis of the polynomial
     ring over its invariant subring."""
     gens = [CommPoly.constant(ONE)]
-    gens += [CommPoly.term(Monomial((a, 0)), ONE) for a in range(1, n + 1)]
-    gens += [CommPoly.term(Monomial((0, b)), ONE) for b in range(1, n)]
+    gens += [CommPoly.term(uv(a, 0), ONE) for a in range(1, n + 1)]
+    gens += [CommPoly.term(uv(0, b), ONE) for b in range(1, n)]
     return gens
 
 
@@ -252,14 +258,14 @@ def comm_module_generators(n: int) -> list[CommPoly]:
 
 def lie_module_generator(n: int) -> CommPoly:
     """u^n - v^n in ad coordinates: the single Lie module generator."""
-    return CommPoly({Monomial((n, 0)): ONE, Monomial((0, n)): -ONE})
+    return CommPoly({uv(n, 0): ONE, uv(0, n): -ONE})
 
 
 def invariant_generators_assoc(n: int) -> list[MetAssocElem]:
     """The standard generating set of the invariant algebra: the two
     lifts uv+vu and u^n+v^n followed by the 2n+1 module generators."""
     lift_uv = assoc.from_word("uv") + assoc.from_word("vu")
-    lift_pow = MetAssocElem(CommPoly({Monomial((n, 0)): ONE, Monomial((0, n)): ONE}))
+    lift_pow = MetAssocElem(CommPoly({uv(n, 0): ONE, uv(0, n): ONE}))
     return [lift_uv, lift_pow] + [
         MetAssocElem.from_comm(h) for h in comm_module_generators(n)
     ]
@@ -278,7 +284,7 @@ def corner_generator_relation(n: int) -> tuple[MetAssocElem, MetAssocElem]:
     g0 = MetAssocElem.from_comm(gens[0])
     gn = MetAssocElem.from_comm(gens[n])
     corner = MetAssocElem.from_comm(gens[n + 1])
-    power_sum = MetAssocElem(CommPoly({Monomial((n, 0)): ONE, Monomial((0, n)): ONE}))
+    power_sum = MetAssocElem(CommPoly({uv(n, 0): ONE, uv(0, n): ONE}))
     return corner.scale(2), power_sum * g0 + gn * power_sum
 
 
@@ -308,7 +314,7 @@ def _product_rows(graded, span: dict, d: int):
                 if image is None:
                     in_comm = j >= len(poly)
                     word = comm[j - len(poly)] if in_comm else poly[j]
-                    terms = _word_times(word.exps, in_comm, poly_terms, comm_terms)
+                    terms = _word_times(word, in_comm, poly_terms, comm_terms)
                     image = images[j] = {index[m]: y for m, y in terms.items()}
                 for c, y in image.items():
                     accumulate(row, c, x * y)
@@ -331,7 +337,7 @@ def subalgebra_filtration(
     if n < 3:
         raise ValueError("need n >= 3")
     if max_degree is None:
-        max_degree = 2 * n + 4
+        max_degree = default_max_degree(n)
     # (degree, u^a v^b terms, commutator terms) with integer coefficients
     graded: list[tuple[int, list, list]] = []
     for g in gens:
@@ -340,8 +346,7 @@ def subalgebra_filtration(
             raise ValueError("generators must be homogeneous and nonzero")
         if reynolds_assoc(n, g) != g:
             raise ValueError("generators must be invariant")
-        terms = {m.exps: c for p in (g.poly_part, g.comm_part) for m, c in p.terms.items()}
-        cleared = _integer_row(terms)
+        cleared = _integer_row(g.poly_part.terms | g.comm_part.terms)
         if cleared is None:
             raise ValueError("generators must have rational coefficients")
         # degree-0 generators are constants, already in the subalgebra,
@@ -350,8 +355,8 @@ def subalgebra_filtration(
             ints = cleared[0]
             graded.append((
                 dg,
-                [(m.exps, ints[m.exps]) for m in g.poly_part.terms],
-                [(m.exps, ints[m.exps]) for m in g.comm_part.terms],
+                [(m, ints[m]) for m in g.poly_part.terms],
+                [(m, ints[m]) for m in g.comm_part.terms],
             ))
     series = hilbert_assoc(n).coefficients(max_degree)
     span: dict[int, list[dict[int, int]]] = {}
@@ -417,10 +422,10 @@ def module_span_check(
     if n < 3:
         raise ValueError("need n >= 3")
     if max_degree is None:
-        max_degree = 2 * n + 4
+        max_degree = default_max_degree(n)
     shift = 0 if side == "left" else 2
     graded: list[tuple[int, CommPoly]] = []
-    counts = [0] * (max_degree + 1)
+    counts: dict[int, int] = {}
     for z in module_gens:
         dz = z.homogeneous_degree()
         if dz is None:
@@ -428,11 +433,11 @@ def module_span_check(
         dz += shift
         graded.append((dz, z))
         if dz <= max_degree:
-            counts[dz] += 1
+            accumulate(counts, dz, 1)
     coeff_series = hilbert_cuv(n)
     if side == "both":
         coeff_series = coeff_series * coeff_series
-    predicted = (RationalSeries(tuple(counts)) * coeff_series).coefficients(max_degree)
+    predicted = (RationalSeries(counts) * coeff_series).coefficients(max_degree)
 
     reports = []
     for d in range(max_degree + 1):
@@ -510,7 +515,7 @@ def minimality_check(n: int, max_degree: int | None = None) -> MinimalityReport:
     if n < 3:
         raise ValueError("need n >= 3")
     if max_degree is None:
-        max_degree = 2 * n + 4
+        max_degree = default_max_degree(n)
     gens = invariant_generators_assoc(n)
     target = gens[0].commutator(gens[1])
     axis = comm_module_generators(n)[: n + 1]
@@ -577,8 +582,8 @@ def cst_sanity(n: int) -> CstReport:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    f1 = CommPoly.term(Monomial((1, 1)), ONE)
-    f2 = CommPoly({Monomial((n, 0)): ONE, Monomial((0, n)): ONE})
+    f1 = CommPoly.term(uv(1, 1), ONE)
+    f2 = CommPoly({uv(n, 0): ONE, uv(0, n): ONE})
     generators = (DihedralElement(n, 1), DihedralElement(n, 0, True))
     fixed = all(act_uv(g, f) == f for g in generators for f in (f1, f2))
     return CstReport(

@@ -110,7 +110,7 @@ class MetLieElem:
         degs = set()
         if not (self.lin_u.is_zero() and self.lin_v.is_zero()):
             degs.add(1)
-        degs |= {m.degree() + 2 for m in self.comm.terms}
+        degs |= {sum(m) + 2 for m in self.comm.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def __eq__(self, other) -> bool:

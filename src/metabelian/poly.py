@@ -1,24 +1,24 @@
 """Sparse commutative polynomials over CycNum, plus exact rational series.
 
-A monomial is the six exponents of u, v (the rank-2 alphabet) and u1,
-v1, u2, v2 (the commutator-ideal coordinates); the elements of both
-algebras are built from polynomials in these.  The printing and pivoting
-order is the lexicographic order on the exponent tuples in that variable
-order.  ``accumulate`` is the one place where a sparse sum adds a term
-and drops a coefficient that cancels to zero.  ``ONE`` and ``ZERO`` are
-the rational structural constants of every coefficient field.
+A monomial is a plain tuple of the six exponents of u, v (the rank-2
+alphabet) and u1, v1, u2, v2 (the commutator-ideal coordinates): a
+product of monomials is the slotwise sum and a degree is the sum of the
+tuple.  The elements of both algebras are built from polynomials in
+these.  The printing and pivoting order is the lexicographic order on
+the tuples.  ``accumulate`` is the one place where a sparse sum adds a
+term and drops a coefficient that cancels to zero.  ``ONE`` and ``ZERO``
+are the rational structural constants of every coefficient field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from operator import add, itemgetter
 
 from .cyclo import CycNum
 
 __all__ = [
     "CommPoly",
-    "Monomial",
     "ONE",
     "RationalSeries",
     "VARIABLES",
@@ -26,10 +26,10 @@ __all__ = [
     "accumulate",
     "intpoly_add",
     "intpoly_mul",
+    "uv",
 ]
 
 VARIABLES = ("u", "v", "u1", "v1", "u2", "v2")
-_VAR_INDEX = {name: j for j, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
 
 # slot indices used throughout the package
@@ -52,65 +52,32 @@ def accumulate(out: dict, key, value) -> None:
         out[key] = value
 
 
-class Monomial:
-    """A power product of the variables, e.g. u^2*v or u1*v2^3."""
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps: Iterable[int] = ()):
-        t = tuple(exps)
-        if len(t) < _NVARS:
-            t = t + (0,) * (_NVARS - len(t))
-        if len(t) > _NVARS or any(e < 0 for e in t):
-            raise ValueError(f"bad exponent tuple {t}")
-        self.exps = t
-
-    @classmethod
-    def from_exponents(cls, exponents: dict[str, int]) -> Monomial:
-        exps = [0] * _NVARS
-        for name, e in exponents.items():
-            exps[_VAR_INDEX[name]] = e
-        return cls(exps)
-
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        out = object.__new__(Monomial)
-        out.exps = tuple(a + b for a, b in zip(self.exps, other.exps))
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
-
-    def __repr__(self) -> str:
-        if not any(self.exps):
-            return "1"
-        parts = []
-        for j, e in enumerate(self.exps):
-            if e == 1:
-                parts.append(VARIABLES[j])
-            elif e:
-                parts.append(f"{VARIABLES[j]}^{e}")
-        return "*".join(parts)
+def uv(a: int, b: int) -> tuple[int, ...]:
+    """The monomial u^a v^b."""
+    return (a, b, 0, 0, 0, 0)
 
 
-MONO_ONE = Monomial()
+def _mono_text(mono: tuple[int, ...]) -> str:
+    """A monomial as a product of powers, e.g. u^2*v or u1*v2^3."""
+    parts = [
+        VARIABLES[j] if e == 1 else f"{VARIABLES[j]}^{e}"
+        for j, e in enumerate(mono)
+        if e
+    ]
+    return "*".join(parts) or "1"
 
 
 class CommPoly:
-    """A sparse polynomial with CycNum coefficients and no stored zeros."""
+    """A sparse polynomial: ``terms`` maps monomial tuples to CycNum
+    coefficients, with no stored zeros."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, CycNum] | None = None):
+    def __init__(self, terms: dict[tuple[int, ...], CycNum] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
-    def _make(cls, terms: dict[Monomial, CycNum]) -> CommPoly:
+    def _make(cls, terms: dict[tuple[int, ...], CycNum]) -> CommPoly:
         self = object.__new__(cls)
         self.terms = terms
         return self
@@ -121,19 +88,21 @@ class CommPoly:
 
     @classmethod
     def constant(cls, c: CycNum) -> CommPoly:
-        return cls({MONO_ONE: c})
+        return cls({uv(0, 0): c})
 
     @classmethod
     def variable(cls, name: str) -> CommPoly:
-        return cls._make({Monomial.from_exponents({name: 1}): ONE})
+        mono = [0] * _NVARS
+        mono[VARIABLES.index(name)] = 1
+        return cls._make({tuple(mono): ONE})
 
     @classmethod
     def linear(cls, cu: CycNum, cv: CycNum) -> CommPoly:
         """The linear form cu*u + cv*v."""
-        return cls({Monomial((1,)): cu, Monomial((0, 1)): cv})
+        return cls({uv(1, 0): cu, uv(0, 1): cv})
 
     @classmethod
-    def term(cls, mono: Monomial, coeff: CycNum) -> CommPoly:
+    def term(cls, mono: tuple[int, ...], coeff: CycNum) -> CommPoly:
         return cls({mono: coeff})
 
     def is_zero(self) -> bool:
@@ -155,10 +124,10 @@ class CommPoly:
         return self + (-other)
 
     def __mul__(self, other: CommPoly) -> CommPoly:
-        out: dict[Monomial, CycNum] = {}
+        out: dict[tuple[int, ...], CycNum] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                accumulate(out, m1 * m2, c1 * c2)
+                accumulate(out, tuple(map(add, m1, m2)), c1 * c2)
         return CommPoly._make(out)
 
     def scale(self, c) -> CommPoly:
@@ -176,10 +145,10 @@ class CommPoly:
         (IU .. IV2) to its image.  The powers of each image are built once
         per call."""
         powers: dict[int, list[CommPoly]] = {}
-        out: dict[Monomial, CycNum] = {}
+        out: dict[tuple[int, ...], CycNum] = {}
         for mono, coeff in self.terms.items():
-            acc = CommPoly._make({MONO_ONE: coeff})
-            for slot, e in enumerate(mono.exps):
+            acc = CommPoly._make({uv(0, 0): coeff})
+            for slot, e in enumerate(mono):
                 if not e:
                     continue
                 table = powers.get(slot)
@@ -200,26 +169,21 @@ class CommPoly:
         injective, so no coefficients combine."""
         left = (0,) * slot
         right = (0,) * (_NVARS - 2 - slot)
-        out = {}
-        for m, c in self.terms.items():
-            mm = object.__new__(Monomial)
-            mm.exps = left + m.exps[:2] + right
-            out[mm] = c
-        return CommPoly._make(out)
+        return CommPoly._make({left + m[:2] + right: c for m, c in self.terms.items()})
 
     def homogeneous_component(self, d: int) -> CommPoly:
-        return CommPoly._make({m: c for m, c in self.terms.items() if m.degree() == d})
+        return CommPoly._make({m: c for m, c in self.terms.items() if sum(m) == d})
 
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
-        return max((m.degree() for m in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def homogeneous_degree(self) -> int | None:
-        degs = {m.degree() for m in self.terms}
+        degs = set(map(sum, self.terms))
         return degs.pop() if len(degs) == 1 else None
 
-    def sorted_terms(self) -> list[tuple[Monomial, CycNum]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].exps, reverse=True)
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], CycNum]]:
+        return sorted(self.terms.items(), key=itemgetter(0), reverse=True)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CommPoly) and self.terms == other.terms
@@ -234,7 +198,7 @@ class CommPoly:
             ctext = str(c)
             if " " in ctext:
                 ctext = f"({ctext})"
-            mtext = repr(m)
+            mtext = _mono_text(m)
             if mtext == "1":
                 parts.append(ctext)
             elif ctext == "1":
@@ -248,56 +212,50 @@ class CommPoly:
 # Integer polynomials in t and rational power series
 # ----------------------------------------------------------------------
 
-def _trim_int(p: Iterable[int]) -> tuple[int, ...]:
-    t = list(p)
-    while len(t) > 1 and t[-1] == 0:
-        t.pop()
-    return tuple(int(c) for c in t)
+def intpoly_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out = dict(a)
+    for k, c in b.items():
+        accumulate(out, k, c)
+    return out
 
 
-def intpoly_add(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
-    a, b = list(a), list(b)
-    if len(a) < len(b):
-        a, b = b, a
-    for j, c in enumerate(b):
-        a[j] += c
-    return _trim_int(a)
-
-
-def intpoly_mul(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
-    a, b = list(a), list(b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return _trim_int(out)
+def intpoly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for i, c in a.items():
+        for j, d in b.items():
+            accumulate(out, i + j, c * d)
+    return out
 
 
 class RationalSeries:
     """A quotient of integer polynomials in t, expanded exactly on demand.
 
-    The numerator and denominator are kept unreduced; equality is decided
-    by cross multiplication, so no gcd machinery is needed.
+    The numerator and denominator are sparse ``{exponent: coefficient}``
+    maps, so a factor such as 1 - t^n costs two terms whatever n is.
+    They are kept unreduced; equality is decided by cross
+    multiplication, so no gcd machinery is needed.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Iterable[int], den: Iterable[int] = (1,)):
-        self.num = _trim_int(num)
-        self.den = _trim_int(den)
-        if self.den[0] == 0:
+    def __init__(self, num: dict[int, int], den: dict[int, int] | None = None):
+        self.num = {k: c for k, c in num.items() if c}
+        self.den = {k: c for k, c in ({0: 1} if den is None else den).items() if c}
+        if 0 not in self.den:
             raise ValueError("series denominator must have nonzero constant term")
 
     def coefficients(self, upto: int) -> list[int]:
         """Exact coefficients of t^0 .. t^upto by power series long division."""
-        out: list[Fraction] = []
         d0 = self.den[0]
+        # only the denominator terms of exponent 1 .. upto reach a coefficient
+        tail = sorted((j, c) for j, c in self.den.items() if 0 < j <= upto)
+        out: list[Fraction] = []
         for k in range(upto + 1):
-            acc = Fraction(self.num[k]) if k < len(self.num) else Fraction(0)
-            for j in range(1, min(k, len(self.den) - 1) + 1):
-                acc -= self.den[j] * out[k - j]
+            acc = Fraction(self.num.get(k, 0))
+            for j, c in tail:
+                if j > k:
+                    break
+                acc -= c * out[k - j]
             out.append(acc / d0)
         ints = []
         for q in out:

@@ -9,7 +9,7 @@ from metabelian.assoc import MetAssocElem
 from metabelian.cyclo import CycNum, imag_unit
 from metabelian.dihedral import group_elements
 from metabelian.lie import MetLieElem
-from metabelian.poly import CommPoly, Monomial
+from metabelian.poly import VARIABLES, CommPoly, uv
 
 
 def random_gaussian(rng: Random, order: int, nonzero: bool = False) -> CycNum:
@@ -61,14 +61,14 @@ def random_assoc(
         if rng.random() < 0.5:
             a = rng.randint(0, max_degree)
             b = rng.randint(0, max_degree - a)
-            e = e + MetAssocElem(CommPoly.term(Monomial((a, b)), c))
+            e = e + MetAssocElem(CommPoly.term(uv(a, b), c))
         else:
             inner = max(0, max_degree - 2)
             a = rng.randint(0, inner)
             b = rng.randint(0, inner - a)
             cc = rng.randint(0, inner - a - b)
             d = rng.randint(0, inner - a - b - cc)
-            mono = Monomial((0, 0, a, b, cc, d))
+            mono = (0, 0, a, b, cc, d)
             e = e + MetAssocElem.from_comm(CommPoly.term(mono, c))
     return e
 
@@ -85,7 +85,7 @@ def random_lie(
     for _ in range(terms):
         a = rng.randint(0, inner)
         b = rng.randint(0, inner - a)
-        e = e + MetLieElem.from_comm(CommPoly.term(Monomial((a, b)), coeff(rng, order)))
+        e = e + MetLieElem.from_comm(CommPoly.term(uv(a, b), coeff(rng, order)))
     return e
 
 
@@ -105,7 +105,8 @@ def random_comm_poly(
         for name in names:
             exps[name] = rng.randint(0, left)
             left -= exps[name]
-        p = p + CommPoly.term(Monomial.from_exponents(exps), coeff(rng, order))
+        mono = tuple(exps.get(name, 0) for name in VARIABLES)
+        p = p + CommPoly.term(mono, coeff(rng, order))
     return p
 
 

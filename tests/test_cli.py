@@ -190,6 +190,14 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
     assert exc.value.code == 2
+    for argv in (
+        ["verify", "lie", "--n", "3", "--max-deg", "-1"],
+        ["hilbert", "cuv", "--n", "3", "--max-deg", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--max-deg: must be nonnegative" in capsys.readouterr().err
 
 
 def test_hilbert(capsys):
@@ -284,6 +292,26 @@ def test_verify_assoc_large_n_is_bounded():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["ok"] is True and len(payload["degrees"]) == 7
+
+
+@pytest.mark.parametrize(
+    "which,expected", [("cuv", [1, 0, 1, 0]), ("lie", [0, 0, 0, 0]), ("assoc", [1, 0, 1, 0])]
+)
+def test_hilbert_huge_n_is_sparse(which, expected):
+    # a factor 1 - t^n is two terms, and the expansion to degree 3
+    # reads no denominator term past t^3
+    proc = _run_capped("hilbert", which, "--n", "100000000", "--max-deg", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
+
+
+@pytest.mark.parametrize("template,offset", [("{}*u", 0), ("u^{}", 2), ("u*1/{}", 4)])
+def test_overlong_integer_literal_exit_2(template, offset):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits
+    proc = _run_capped("canon", template.format("7" * 5000))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: syntax error at offset {offset}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_exit_1_on_any_mismatch(capsys, monkeypatch):

@@ -20,7 +20,7 @@ from metabelian.dihedral import (
     rotation_weight,
 )
 from metabelian.lie import MetLieElem, embed_assoc
-from metabelian.poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, Monomial
+from metabelian.poly import IU, IU1, IU2, IV, IV1, IV2, CommPoly, uv
 from helpers import (
     group_average,
     random_assoc,
@@ -76,10 +76,10 @@ def test_action_examples():
     assert act_assoc(tau, br) == br.scale(-1)
     # tau on a commutator-basis word swaps and flips sign
     w = MetAssocElem.from_comm(
-        CommPoly.term(Monomial((0, 0, 2, 1, 0, 3)), CycNum.one(m))
+        CommPoly.term((0, 0, 2, 1, 0, 3), CycNum.one(m))
     )
     expect = MetAssocElem.from_comm(
-        CommPoly.term(Monomial((0, 0, 1, 2, 3, 0)), -CycNum.one(m))
+        CommPoly.term((0, 0, 1, 2, 3, 0), -CycNum.one(m))
     )
     assert act_assoc(tau, w) == expect
     # tau on a plain word straightens: tau(uv) = vu = uv + [v,u]
@@ -106,8 +106,8 @@ def test_act_lie_examples():
     u = MetLieElem.generator("u")
     assert act_lie(rho, u) == u.scale(rotation_scalar(n, 1))
     # tau([v,u] ad^n(u)) = -[v,u] ad^n(v)
-    cu = MetLieElem.from_comm(CommPoly.term(Monomial((n, 0)), CycNum.one(m)))
-    cv = MetLieElem.from_comm(CommPoly.term(Monomial((0, n)), CycNum.one(m)))
+    cu = MetLieElem.from_comm(CommPoly.term(uv(n, 0), CycNum.one(m)))
+    cv = MetLieElem.from_comm(CommPoly.term(uv(0, n), CycNum.one(m)))
     assert act_lie(tau, cu) == cv.scale(-1)
 
 
@@ -192,10 +192,10 @@ def test_commutative_action():
     n = 3
     m = ambient_order(n)
     one = CycNum.one(m)
-    uv = CommPoly.term(Monomial((1, 1)), one)
-    psum = CommPoly({Monomial((n, 0)): one, Monomial((0, n)): one})
+    prod = CommPoly.term(uv(1, 1), one)
+    psum = CommPoly({uv(n, 0): one, uv(0, n): one})
     for g in group_elements(n):
-        assert act_uv(g, uv) == uv
+        assert act_uv(g, prod) == prod
         assert act_uv(g, psum) == psum
     # u alone averages to zero
     assert reynolds_uv(n, CommPoly.variable("u")).is_zero()
@@ -207,7 +207,7 @@ def test_rotation_weight_is_the_rotation_eigenvalue():
     rho = DihedralElement(n, 1, False)
     one = CycNum.one(m)
     for exps in ((3, 1), (0, 4), (0, 0, 2, 0, 1, 3), (0, 0, 0, 1, 4, 0)):
-        mono = Monomial(exps)
+        mono = exps + (0,) * (6 - len(exps))
         p = CommPoly.term(mono, one)
         e = MetAssocElem(p) if len(exps) == 2 else MetAssocElem.from_comm(p)
         xi_w = rotation_scalar(n, rotation_weight(mono))

@@ -21,7 +21,7 @@ from metabelian.expr import (
     print_elem,
 )
 from metabelian.lie import MetLieElem
-from metabelian.poly import CommPoly, Monomial
+from metabelian.poly import CommPoly, uv
 from helpers import random_assoc
 
 
@@ -62,7 +62,7 @@ def test_eval_examples():
     e = eval_assoc(parse("x^2 + y^2"))
     half = CycNum.from_rational(4, Fraction(1, 2))
     expect = MetAssocElem(
-        CommPoly.term(Monomial((1, 1)), CycNum.one(4)),
+        CommPoly.term(uv(1, 1), CycNum.one(4)),
         CommPoly.constant(half),
     )
     assert e == expect
@@ -98,7 +98,7 @@ def test_print_examples():
 
 def test_print_lie():
     e = MetLieElem.generator("u") + MetLieElem.from_comm(
-        CommPoly.term(Monomial((2, 1)), CycNum.from_rational(4, 3))
+        CommPoly.term(uv(2, 1), CycNum.from_rational(4, 3))
     )
     assert print_elem(e) == "u + 3*[v,u] ad(u)^2 ad(v)"
     assert "[y,x]" in print_elem(e, "xy")
@@ -123,8 +123,8 @@ def test_round_trip_uv_and_xy():
 def test_round_trip_with_gaussian_coefficients():
     i = imag_unit(4)
     e = MetAssocElem(
-        CommPoly.term(Monomial((2, 0)), CycNum.from_rational(4, Fraction(-3, 2)) + i),
-        CommPoly.term(Monomial((0, 0, 1, 0, 0, 2)), i * Fraction(5, 3)),
+        CommPoly.term(uv(2, 0), CycNum.from_rational(4, Fraction(-3, 2)) + i),
+        CommPoly.term((0, 0, 1, 0, 0, 2), i * Fraction(5, 3)),
     )
     text = print_elem(e)
     assert eval_assoc(parse(text)) == e

@@ -5,7 +5,7 @@ import pytest
 from metabelian.assoc import MetAssocElem, commutator
 from metabelian.cyclo import CycNum
 from metabelian.lie import MetLieElem, bracket, embed_assoc
-from metabelian.poly import CommPoly, Monomial
+from metabelian.poly import CommPoly, uv
 from helpers import inverse_matrix, random_lie, random_matrix
 
 
@@ -18,7 +18,7 @@ def _v():
 
 
 def _comm(a, b):
-    return MetLieElem.from_comm(CommPoly.term(Monomial((a, b)), CycNum.one(4)))
+    return MetLieElem.from_comm(CommPoly.term(uv(a, b), CycNum.one(4)))
 
 
 def test_bracket_examples():
@@ -40,10 +40,10 @@ def test_bracket_linear_coefficient():
 def test_module_action_examples():
     one = CycNum.one(4)
     base = _comm(0, 0)
-    f = CommPoly({Monomial((3, 0)): one, Monomial((0, 3)): -one})
+    f = CommPoly({uv(3, 0): one, uv(0, 3): -one})
     assert base.module_action(f) == _comm(3, 0) - _comm(0, 3)
     assert base.module_action(CommPoly.constant(one)) == base
-    assert base.module_action(CommPoly.term(Monomial((1, 1)), one)) == _comm(1, 1)
+    assert base.module_action(CommPoly.term(uv(1, 1), one)) == _comm(1, 1)
 
 
 def test_module_action_requires_commutator_part():
@@ -55,7 +55,7 @@ def test_embed_examples():
     assert embed_assoc(_comm(0, 0)).comm_part == CommPoly.constant(CycNum.one(4))
     one = CycNum.one(4)
     expect = CommPoly(
-        {Monomial((0, 0, 0, 0, 1, 0)): one, Monomial((0, 0, 1, 0, 0, 0)): -one}
+        {(0, 0, 0, 0, 1, 0): one, (0, 0, 1, 0, 0, 0): -one}
     )
     assert embed_assoc(_comm(1, 0)).comm_part == expect
 
@@ -64,8 +64,8 @@ def test_embed_matches_iterated_commutators():
     # [v,u](ad^n(u) - ad^n(v)) via the embedding equals the same element
     # built by repeated associative commutators
     for n in (3, 4):
-        fu = CommPoly.term(Monomial((n, 0)), CycNum.one(4))
-        fv = CommPoly.term(Monomial((0, n)), CycNum.one(4))
+        fu = CommPoly.term(uv(n, 0), CycNum.one(4))
+        fv = CommPoly.term(uv(0, n), CycNum.one(4))
         gen = _comm(0, 0).module_action(fu - fv)
         au = MetAssocElem.letter("u")
         av = MetAssocElem.letter("v")
@@ -105,9 +105,7 @@ def test_anticommutativity_and_jacobi():
 def test_ad_operators_commute_on_commutator_ideal():
     rng = Random(31)
     for _ in range(40):
-        c = MetLieElem.from_comm(
-            CommPoly.term(Monomial((rng.randint(0, 3), rng.randint(0, 3))), CycNum.one(4))
-        )
+        c = _comm(rng.randint(0, 3), rng.randint(0, 3))
         uv = bracket(bracket(c, _u()), _v())
         vu = bracket(bracket(c, _v()), _u())
         assert uv == vu

@@ -2,6 +2,8 @@
 
 Every sum that can cancel goes through ``poly.accumulate``; these seeded
 checks feed it inputs built to cancel and look for zeros left behind.
+They also check that every key is a monomial in the package's one
+format, a tuple of six nonnegative ints.
 """
 
 from fractions import Fraction
@@ -24,9 +26,19 @@ from metabelian.poly import CommPoly
 from helpers import random_assoc, random_comm_poly, random_cyc, random_lie
 
 
+def _is_monomial(m) -> bool:
+    return (
+        type(m) is tuple
+        and len(m) == 6
+        and all(type(e) is int and e >= 0 for e in m)
+    )
+
+
 def _clean(x) -> bool:
     if isinstance(x, CommPoly):
-        return all(not c.is_zero() for c in x.terms.values())
+        return all(
+            _is_monomial(m) and not c.is_zero() for m, c in x.terms.items()
+        )
     if isinstance(x, MetAssocElem):
         return _clean(x.poly_part) and _clean(x.comm_part)
     return _clean(x.comm)
