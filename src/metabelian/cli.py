@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 
+from .cyclo import DigitLimitError
 from .dihedral import reynolds_assoc
 from .expr import ExprSyntaxError, eval_assoc, parse, print_elem
 from .invariants import (
@@ -29,15 +30,22 @@ from .invariants import (
 __all__ = ["main"]
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}") from None
+
+
 def _n_arg(text: str) -> int:
-    value = int(text)
+    value = _int_arg(text)
     if value < 3:
         raise argparse.ArgumentTypeError("n must be at least 3")
     return value
 
 
 def _max_deg_arg(text: str) -> int:
-    value = int(text)
+    value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
@@ -173,7 +181,7 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
-    except ExprSyntaxError as exc:
+    except (ExprSyntaxError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

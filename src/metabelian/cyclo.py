@@ -16,12 +16,14 @@ built: ``root_of_unity`` and ``imag_unit``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = [
     "CycNum",
+    "DigitLimitError",
     "ambient_order",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -366,10 +368,26 @@ class CycNum:
         return f"CycNum({self.order}, {self})"
 
 
+class DigitLimitError(ValueError):
+    """A number too long for ``str``: more decimal digits than
+    ``sys.get_int_max_str_digits()``."""
+
+
+def _int_text(k: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    # at most 3 * limit bits means |k| < 8^limit < 10^limit
+    if limit and k.bit_length() > 3 * limit and abs(k) >= 10**limit:
+        raise DigitLimitError(
+            f"a number in the result has more than {limit} digits, the limit "
+            "of sys.get_int_max_str_digits()"
+        )
+    return str(k)
+
+
 def _fraction_text(q: Fraction) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 def root_of_unity(m: int, k: int) -> CycNum:

@@ -3,11 +3,13 @@
 Three independent quantities are compared at every degree: the
 dimension of the invariants (the defining oracle), the coefficient of a
 closed-form Hilbert series, and the rank actually reached by products of
-a candidate generating set.  The invariants come with an explicit basis,
-the Reynolds images of one weight-0 monomial per tau-orbit, which is
-independent by construction; the generated ranks come from exact row
-reduction.  Nothing uses a tolerance; a report is ok when the numbers
-agree.
+a candidate generating set.  The associative invariant dimension is a
+character count, (W + R) / 2, with no linear algebra.  The invariants
+also come with an explicit basis, the Reynolds images of one weight-0
+monomial per tau-orbit, which is independent by construction; the Lie
+check counts it, and the tests check the character count against it.
+The generated ranks come from exact row reduction.  Nothing uses a
+tolerance; a report is ok when the numbers agree.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "cst_sanity",
     "cuv_module_generators",
     "default_max_degree",
+    "dim_invariants_assoc",
     "hilbert_assoc",
     "hilbert_cuv",
     "hilbert_lie",
@@ -172,6 +175,44 @@ def invariant_basis_lie(n: int, d: int) -> list[MetLieElem]:
     if n < 3:
         raise ValueError("need n >= 3")
     return list(_invariant_rows_lie(n, d))
+
+
+# ----------------------------------------------------------------------
+# Invariant dimensions from the trace count
+# ----------------------------------------------------------------------
+#
+# dim of the invariants = (1/2n) sum_g trace(g).  A rotation rho^k scales
+# a monomial of weight w by xi^(kw), and sum_k xi^(kw) = n [w = 0 mod n],
+# so the rotations add up to n W, W the number of basis monomials of
+# weight 0 mod n.  A reflection is triangular on the basis: the diagonal
+# entry of u^a v^b is [a = b] (tau straightens v^a u^b to u^a v^b plus
+# commutator terms), and that of a commutator monomial, which tau maps
+# to minus its swap, is -[it is swap-fixed].  So each reflection has the
+# same trace R, and each block has dimension (W + R) / 2.
+
+def _comm_invariant_count(n: int, d: int) -> int:
+    """Dimension of the degree-d invariants in the commutator block."""
+    k = d - 2
+    if k < 0:
+        return 0
+    # u1^a v1^b u2^c v2^e with p = a + c u's has weight 2p - k
+    w = sum((p + 1) * (k - p + 1) for p in range(k + 1) if (2 * p - k) % n == 0)
+    # the d/2 swap-fixed words u^a v^a [v,u] u^c v^c, 2a + 2c = k
+    r = -(d // 2) if d % 2 == 0 else 0
+    return (w + r) // 2
+
+
+def dim_invariants_assoc(n: int, d: int) -> int:
+    """Dimension of the degree-d invariants of the associative algebra,
+    ``len(invariant_basis_assoc(n, d))`` with no basis built."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    w = sum(1 for a in range(d + 1) if (2 * a - d) % n == 0)
+    # u^(d/2) v^(d/2) is the one swap-fixed word
+    r = 1 if d % 2 == 0 else 0
+    return (w + r) // 2 + _comm_invariant_count(n, d)
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +365,7 @@ def _product_rows(graded, span: dict, d: int):
 def subalgebra_filtration(
     gens: list[MetAssocElem], n: int, max_degree: int | None = None
 ) -> list[DegreeReport]:
-    """Compare span-of-products, Reynolds rank, and series coefficient.
+    """Compare span-of-products, invariant dimension, and series coefficient.
 
     The span at degree d is built by dynamic programming: products of a
     degree-(d-k) span basis with each degree-k generator.  Generators
@@ -362,7 +403,7 @@ def subalgebra_filtration(
     span: dict[int, list[dict[int, int]]] = {}
     reports = []
     for d in range(max_degree + 1):
-        dim_r = len(_invariant_rows_assoc(n, d))
+        dim_r = dim_invariants_assoc(n, d)
         ech = RowEchelon()
         reps: list[dict[int, int]] = []
         # the unit spans degree 0; the generators are invariant, so once
@@ -466,9 +507,7 @@ def module_span_check(
         if side == "left":
             target = d + 1
         elif side == "both":
-            target = sum(
-                1 for e in _invariant_rows_assoc(n, d) if e.poly_part.is_zero()
-            )
+            target = _comm_invariant_count(n, d)
         else:
             target = len(_invariant_rows_lie(n, d))
         ok = ech.rank == predicted[d] == target
@@ -529,7 +568,8 @@ def minimality_check(n: int, max_degree: int | None = None) -> MinimalityReport:
     if coeffs is None:
         raise ArithmeticError("the commutator of the lifts left the module span")
 
-    # generation survival means the span keeps matching the Reynolds rank
+    # generation survival means the span keeps matching the invariant
+    # dimension
     single_ok = []
     for j in range(n + 1):
         reduced = [g for i, g in enumerate(gens) if i != 2 + j]

@@ -198,6 +198,19 @@ def test_usage_errors_exit_2(capsys):
             cli.main(argv)
         assert exc.value.code == 2
         assert "--max-deg: must be nonnegative" in capsys.readouterr().err
+    # a non-integer is named by its option, not by the converter function
+    for argv, option in (
+        (["verify", "lie", "--n", "abc"], "--n"),
+        (["verify", "lie", "--n", "3", "--max-deg", "x"], "--max-deg"),
+        (["hilbert", "cuv", "--n", "7.5"], "--n"),
+        (["reynolds", "u", "--n", ""], "--n"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be an integer, not " in err
+        assert "_n_arg" not in err and "_max_deg_arg" not in err
 
 
 def test_hilbert(capsys):
@@ -312,6 +325,23 @@ def test_overlong_integer_literal_exit_2(template, offset):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: syntax error at offset {offset}: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["9^9999", "1/9^9999*u", "10^4300"])
+def test_overlong_result_coefficient_exit_2(text):
+    # the result has a coefficient of more than
+    # sys.get_int_max_str_digits() (4300) digits, which str() refuses
+    proc = _run_capped("canon", text)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: a number in the result has more than 4300 digits, "
+        "the limit of sys.get_int_max_str_digits()\n"
+    )
+
+
+def test_result_coefficient_at_the_digit_limit(capsys):
+    code, out, _ = _run(capsys, "canon", "10^4300 - 1")
+    assert code == 0 and out == "9" * 4300 + "\n"
 
 
 def test_verify_exit_1_on_any_mismatch(capsys, monkeypatch):

@@ -10,6 +10,9 @@ show, which degree 12 is not.  ``verify_assoc_n7_d22.json`` holds that
 of ``verify assoc --n 7 --max-deg 22 --json`` as it was before product
 rows were built from integer right-multiplication maps: its generators
 reach degree 2n + 2 = 16 and its coefficients live in Q(zeta_28).
+``verify_assoc_n24.json`` holds that of ``verify assoc --n 24 --json``
+as it was before the invariant dimension became a trace count: the
+larger-n case, its corner degree 2n + 2 = 50.
 ``verify_lie_n7_d80.json`` and ``verify_cuv-module_n7_d80.json`` hold
 those of ``verify lie --n 7 --max-deg 80 --json`` and ``verify
 cuv-module --n 7 --max-deg 80 --json`` as they were before elimination
@@ -64,6 +67,14 @@ def test_large_n_assoc_report_matches_golden(capsys):
     assert cli.main(argv) == 1
     expected = (DATA / "verify_assoc_n7_d22.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_n24_assoc_report_matches_golden(capsys):
+    argv = ["verify", "assoc", "--n", "24", "--json"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert out == (DATA / "verify_assoc_n24.json").read_text(encoding="utf-8")
+    assert json.loads(out)["first_failing_degree"] == 50
 
 
 @pytest.mark.parametrize("target", ["lie", "cuv-module"])

@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import group_average
+from metabelian import invariants
 from metabelian.assoc import MetAssocElem, from_word
 from metabelian.assoc import basis as assoc_basis
 from metabelian.cyclo import CycNum, ambient_order, imag_unit
@@ -17,6 +18,7 @@ from metabelian.invariants import (
     corner_generator_relation,
     cst_sanity,
     cuv_module_generators,
+    dim_invariants_assoc,
     hilbert_assoc,
     hilbert_cuv,
     hilbert_lie,
@@ -30,6 +32,7 @@ from metabelian.invariants import (
     subalgebra_filtration,
 )
 from metabelian.invariants import (
+    _comm_invariant_count,
     _cuv_invariant_polys,
     _invariant_rows_assoc,
     _invariant_rows_lie,
@@ -163,15 +166,10 @@ def test_reynolds_ranks_match_corner_free_series():
             assert len(invariant_basis_assoc(n, d)) == series[d]
 
 
-# The trace count: dim of the invariants = (1/2n) sum_g trace(g), with
-# no linear algebra.  A rotation rho^k scales a monomial of weight w by
-# xi^(kw), and sum_k xi^(kw) = n [w = 0 mod n], so the rotations add up
-# to n W, W the number of basis monomials of weight 0 mod n.  A
-# reflection tau rho^k is triangular on the basis: the diagonal entry of
-# u^a v^b is [a = b] (tau straightens v^a u^b to u^a v^b plus commutator
-# terms), and that of a commutator monomial, which tau maps to minus its
-# swap, is -[it is swap-fixed]; swap-fixed monomials have weight 0.  So
-# each reflection has the same trace R and dim = (W + R) / 2.
+# The trace count dim = (W + R) / 2, W the number of basis monomials of
+# weight 0 mod n and R the trace of one reflection (derived beside
+# ``dim_invariants_assoc``).  These oracles count W by brute force, one
+# monomial at a time, independently of the library's closed inner count.
 
 def _assoc_trace_count(n: int, d: int) -> int:
     w = sum(1 for a in range(d + 1) if (a - (d - a)) % n == 0)
@@ -207,11 +205,47 @@ def _lie_trace_count(n: int, d: int) -> int:
 
 
 def test_trace_count_assoc():
+    # the count verify uses against the basis, the corner-free series
+    # and the brute-force count
+    for n in range(3, 13):
+        series = hilbert_assoc(n, corner=False).coefficients(24)
+        for d in range(25):
+            count = dim_invariants_assoc(n, d)
+            assert count == len(_invariant_rows_assoc(n, d)) == series[d], (n, d)
+            assert count == _assoc_trace_count(n, d), (n, d)
+
+
+def test_trace_count_comm_block():
+    # the commutator-block part, the target of the two-sided module check,
+    # against the tau-orbit images that have no u^a v^b part
     for n in range(3, 9):
-        series = hilbert_assoc(n, corner=False).coefficients(14)
-        for d in range(15):
-            count = _assoc_trace_count(n, d)
-            assert len(_invariant_rows_assoc(n, d)) == count == series[d], (n, d)
+        for d in range(19):
+            images = _invariant_rows_assoc(n, d)
+            expected = sum(1 for e in images if e.poly_part.is_zero())
+            assert _comm_invariant_count(n, d) == expected, (n, d)
+
+
+def test_assoc_checks_build_no_reynolds_basis(monkeypatch):
+    # both associative targets come from the trace count: reynolds_assoc
+    # sees the generators alone, and no invariant basis is built
+    seen = []
+    real = invariants.reynolds_assoc
+    monkeypatch.setattr(
+        invariants, "reynolds_assoc", lambda n, e: seen.append(e) or real(n, e)
+    )
+    before = _invariant_rows_assoc.cache_info()
+    gens = invariant_generators_assoc(3)
+    subalgebra_filtration(gens, 3, 10)
+    module_span_check(comm_module_generators(3), "both", 3, 10)
+    assert seen == gens
+    assert _invariant_rows_assoc.cache_info() == before
+
+
+def test_trace_count_assoc_validation():
+    with pytest.raises(ValueError):
+        dim_invariants_assoc(2, 4)
+    with pytest.raises(ValueError):
+        dim_invariants_assoc(3, -1)
 
 
 def test_trace_count_lie():
