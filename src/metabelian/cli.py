@@ -122,13 +122,8 @@ def _cmd_verify(args) -> int:
     n, max_deg = args.n, args.max_deg
     if args.target == "cst":
         report = cst_sanity(n)
-        payload = {
-            "n": n,
-            "command": "verify cst",
-            "degrees": [],
-            "ok": report.ok,
-            "first_failing_degree": None,
-        }
+        payload = _report_payload(n, "verify cst", [])
+        payload["ok"] = report.ok
         if args.json:
             print(json.dumps(payload))
         else:

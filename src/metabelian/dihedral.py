@@ -5,18 +5,22 @@ and tau is the reflection swapping the diagonalizing coordinates u and
 v.  On u, v the rotation acts by u -> xi*u, v -> conj(xi)*v with xi a
 primitive n-th root of unity taken inside the ambient field of order
 lcm(4, n).  ``rotation_scalar`` is the only place outside ``cyclo`` that
-builds a field: every other constant here is rational, and rationals
-combine with coefficients of any order.  Reflections act as algebra
-automorphisms, so their effect on a basis word u^a v^b is the canonical
-form of the swapped word, which picks up commutator corrections; the
-commutator coordinates themselves transform without corrections.
+builds a field, and only a rotation reaches it: every action is the
+rotation ``_rotated``, which leaves an element as it is when rot is 0,
+then the reflection.  Every other constant here is rational, and
+rationals combine with coefficients of any order.  Reflections act as
+algebra automorphisms, so their effect on a basis word u^a v^b is the
+canonical form of the swapped word, which picks up commutator
+corrections; the commutator coordinates themselves transform without
+corrections.
 
 Rotations are diagonal on basis monomials: rho scales a monomial of
 rotation weight w by xi^w.  Since sum_k xi^(kw) = n [w = 0 mod n], the
 n rotations average to the projection P0 onto the weight-0 terms, and
 tau rho^k (rotation first, then the swap) averages to tau P0.  The
 Reynolds operators are therefore computed exactly, over any coefficient
-field, as (P0 + tau P0) / 2: one reflection instead of 2n group actions.
+field, as (P0 + tau P0) / 2: one reflection instead of 2n group actions,
+and no root of unity.
 """
 
 from __future__ import annotations
@@ -120,6 +124,16 @@ def swap(mono: tuple[int, ...]) -> tuple[int, ...]:
     return (v, u, v1, u1, v2, u2)
 
 
+def _rotated(g: DihedralElement, p: CommPoly) -> CommPoly:
+    """rho^rot applied to p: each term scaled by xi^(rot * weight).  With
+    rot 0 this is p itself, and no field is built."""
+    if not g.rot:
+        return p
+    return CommPoly._make({
+        m: c * rotation_scalar(g.n, g.rot * rotation_weight(m)) for m, c in p.terms.items()
+    })
+
+
 def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
     """Algebra automorphism action on a canonical element.
 
@@ -128,60 +142,43 @@ def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
     Rational coefficients serve any g, and a reflection alone (rot 0)
     takes coefficients from any one field.
     """
+    poly, comm = _rotated(g, e.poly_part), _rotated(g, e.comm_part)
+    if not g.flip:
+        return MetAssocElem(poly, comm)
+
     poly_out: dict[tuple[int, ...], CycNum] = {}
     comm_out: dict[tuple[int, ...], CycNum] = {}
-
-    for mono, c in e.poly_part.terms.items():
-        s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
-        if not g.flip:
-            accumulate(poly_out, mono, s)
-        else:
-            w = _swap_straighten(mono[0], mono[1])
-            for m2, c2 in w.poly_part.terms.items():
-                accumulate(poly_out, m2, s * c2)
-            for m2, c2 in w.comm_part.terms.items():
-                accumulate(comm_out, m2, s * c2)
-
-    for mono, c in e.comm_part.terms.items():
-        s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
-        if g.flip:
-            # tau sends [v,u] to -[v,u] and swaps left/right u,v trackers
-            accumulate(comm_out, swap(mono), -s)
-        else:
-            accumulate(comm_out, mono, s)
-
+    for mono, c in poly.terms.items():
+        w = _swap_straighten(mono[0], mono[1])
+        for m2, c2 in w.poly_part.terms.items():
+            accumulate(poly_out, m2, c * c2)
+        for m2, c2 in w.comm_part.terms.items():
+            accumulate(comm_out, m2, c * c2)
+    for mono, c in comm.terms.items():
+        # tau sends [v,u] to -[v,u] and swaps left/right u,v trackers
+        accumulate(comm_out, swap(mono), -c)
     return MetAssocElem(CommPoly._make(poly_out), CommPoly._make(comm_out))
 
 
 def act_lie(g: DihedralElement, e: MetLieElem) -> MetLieElem:
-    if g.flip:
-        lin_u = e.lin_v * rotation_scalar(g.n, -g.rot)
-        lin_v = e.lin_u * rotation_scalar(g.n, g.rot)
-    else:
-        lin_u = e.lin_u * rotation_scalar(g.n, g.rot)
-        lin_v = e.lin_v * rotation_scalar(g.n, -g.rot)
-
-    comm_out: dict[tuple[int, ...], CycNum] = {}
-    for mono, c in e.comm.terms.items():
-        s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
-        if g.flip:
-            mono = swap(mono)
-            s = -s
-        accumulate(comm_out, mono, s)
-    return MetLieElem(lin_u, lin_v, CommPoly._make(comm_out))
+    lin_u, lin_v = e.lin_u, e.lin_v
+    if g.rot:
+        lin_u = lin_u * rotation_scalar(g.n, g.rot)
+        lin_v = lin_v * rotation_scalar(g.n, -g.rot)
+    comm = _rotated(g, e.comm)
+    if not g.flip:
+        return MetLieElem(lin_u, lin_v, comm)
+    return MetLieElem(lin_v, lin_u, CommPoly._make({swap(m): -c for m, c in comm.terms.items()}))
 
 
 def act_uv(g: DihedralElement, p: CommPoly) -> CommPoly:
     """The action on a commutative polynomial ring by monomial scaling
     and the swap: on the ring in u, v, and as ``act_tensor`` the
     diagonal action (no sign twist) on the ring in u1, v1, u2, v2."""
-    out: dict[tuple[int, ...], CycNum] = {}
-    for mono, c in p.terms.items():
-        s = c * rotation_scalar(g.n, g.rot * rotation_weight(mono))
-        if g.flip:
-            mono = swap(mono)
-        accumulate(out, mono, s)
-    return CommPoly._make(out)
+    p = _rotated(g, p)
+    if not g.flip:
+        return p
+    return CommPoly._make({swap(m): c for m, c in p.terms.items()})
 
 
 act_tensor = act_uv

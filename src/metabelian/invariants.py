@@ -8,8 +8,12 @@ character count, (W + R) / 2, with no linear algebra.  The invariants
 also come with an explicit basis, the Reynolds images of one weight-0
 monomial per tau-orbit, which is independent by construction; the Lie
 check counts it, and the tests check the character count against it.
-The generated ranks come from exact row reduction.  Nothing uses a
-tolerance; a report is ok when the numbers agree.
+The generated ranks come from exact row reduction, on integer rows
+over basis-word columns for the subalgebra and on the products' own
+monomials for the module checks.  Invariance is tested by the Reynolds
+projection, which applies no rotation, so nothing here builds a root
+of unity.  Nothing uses a tolerance; a report is ok when the numbers
+agree.
 """
 
 from __future__ import annotations
@@ -20,15 +24,7 @@ from functools import lru_cache
 from . import assoc
 from .assoc import MetAssocElem, _comm_monomial, _word_times, basis_monomials, uv_monomials
 from .cyclo import CycNum
-from .dihedral import (
-    DihedralElement,
-    act_uv,
-    reynolds_assoc,
-    reynolds_lie,
-    reynolds_uv,
-    rotation_weight,
-    swap,
-)
+from .dihedral import reynolds_assoc, reynolds_lie, reynolds_uv, rotation_weight, swap
 from .lie import MetLieElem
 from .linalg import RowEchelon, _integer_row, _rational_row, express_in_span
 from .poly import (
@@ -102,10 +98,6 @@ def _assoc_index(d: int) -> dict[tuple[int, ...], int]:
     """Columns of the degree-d basis, keyed by exponent tuple."""
     poly, comm = basis_monomials(d)
     return {m: j for j, m in enumerate(poly + comm)}
-
-
-def _poly_row(p: CommPoly, index: dict[tuple[int, ...], int]) -> dict[int, CycNum]:
-    return {index[m]: c for m, c in p.terms.items()}
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +334,7 @@ def _product_rows(graded, span: dict, d: int):
     ``assoc._word_times`` and are kept in one map per generator and
     source degree, filled as the representatives reach their columns.
     """
+    # int columns: keyed by monomial tuple, verify assoc ran 2-5x slower
     index = _assoc_index(d)
     for dg, poly_terms, comm_terms in graded:
         if d < dg:
@@ -482,28 +475,14 @@ def module_span_check(
 
     reports = []
     for d in range(max_degree + 1):
-        inner = d - shift
-        rows = []
-        if inner >= 0:
-            if side == "both":
-                _, monos = basis_monomials(inner + 2)
-            else:
-                monos = uv_monomials(inner)
-            index = {m: j for j, m in enumerate(monos)}
-            for dz, z in graded:
-                e = d - dz
-                if e < 0:
-                    continue
-                coeffs = (
-                    _tensor_invariant_polys(n, e)
-                    if side == "both"
-                    else _cuv_invariant_polys(n, e)
-                )
-                for cpoly in coeffs:
-                    rows.append(_poly_row(cpoly * z, index))
         ech = RowEchelon()
-        for row in rows:
-            ech.insert(row)
+        for dz, z in graded:
+            e = d - dz
+            if e < 0:
+                continue
+            ring = _tensor_invariant_polys if side == "both" else _cuv_invariant_polys
+            for cpoly in ring(n, e):
+                ech.insert((cpoly * z).terms)
         if side == "left":
             target = d + 1
         elif side == "both":
@@ -560,11 +539,8 @@ def minimality_check(n: int, max_degree: int | None = None) -> MinimalityReport:
     axis = comm_module_generators(n)[: n + 1]
 
     d = n + 2
-    _, monos = basis_monomials(d)
-    index = {m: j for j, m in enumerate(monos)}
-    gen_rows = [_poly_row(h, index) for h in axis]
     assert target.poly_part.is_zero()
-    coeffs = express_in_span(gen_rows, _poly_row(target.comm_part, index))
+    coeffs = express_in_span([h.terms for h in axis], target.comm_part.terms)
     if coeffs is None:
         raise ArithmeticError("the commutator of the lifts left the module span")
 
@@ -617,15 +593,16 @@ def cst_sanity(n: int) -> CstReport:
 
     With degrees (2, n) for uv and u^n + v^n: their product must equal
     the group order 2n and the sum of (degree - 1) the reflection count
-    n.  The two invariants are checked against rho and tau only, which
-    generate D_n, so the group is never listed.
+    n.  The two invariants are checked by the Reynolds projection, as
+    ``subalgebra_filtration`` checks its generators: f is invariant when
+    (P0 + tau P0) f / 2 = f, so no group element is listed and no
+    rotation is applied.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     f1 = CommPoly.term(uv(1, 1), ONE)
     f2 = CommPoly({uv(n, 0): ONE, uv(0, n): ONE})
-    generators = (DihedralElement(n, 1), DihedralElement(n, 0, True))
-    fixed = all(act_uv(g, f) == f for g in generators for f in (f1, f2))
+    fixed = all(reynolds_uv(n, f) == f for f in (f1, f2))
     return CstReport(
         n=n,
         degrees=(2, n),

@@ -1,6 +1,7 @@
 """Exact row reduction of rational rows, fraction-free over the integers.
 
-Rows are sparse {column: CycNum} maps with no zero entries, and every
+Rows are sparse {column: CycNum} maps with no zero entries, keyed by
+mutually comparable columns (ints, or monomial tuples), and every
 entry must be rational: a row with any other entry raises ValueError
 and leaves the echelon as it was.  Pivoting is deterministic: always
 the smallest remaining column.
@@ -121,17 +122,17 @@ def rank_of(rows) -> int:
 def express_in_span(rows: list[Row], target: Row) -> list[CycNum] | None:
     """Exact coefficients writing target as a combination of rows, or None.
 
-    Cofactors ride along as tracking columns past every data column: row
-    j gets column top + 1 + j and the target column top.  Reduction
-    never scales the target, so once its residual has no data column
-    left it reads target - sum_j c_j * row_j, with -c_j at column
-    top + 1 + j.  Rows and target must be rational (ValueError).
+    Cofactors ride along as tracking columns past every data column:
+    data column c becomes (0, c), row j gets column (1, j) and the target
+    column (1, -1).  Reduction never scales the target, so once its
+    residual has no data column left it reads target - sum_j c_j * row_j,
+    with -c_j at column (1, j).  Rows and target must be rational
+    (ValueError).
     """
-    top = 1 + max((c for r in (*rows, target) for c in r), default=-1)
     ech = RowEchelon()
     for j, row in enumerate(rows):
-        ech.insert({**row, top + 1 + j: ONE})
-    res = ech.reduce({**target, top: ONE})
-    if min(res) < top:
+        ech.insert({(0, c): v for c, v in row.items()} | {(1, j): ONE})
+    res = ech.reduce({(0, c): v for c, v in target.items()} | {(1, -1): ONE})
+    if min(res)[0] == 0:
         return None
-    return [-res.get(top + 1 + j, ZERO) for j in range(len(rows))]
+    return [-res.get((1, j), ZERO) for j in range(len(rows))]

@@ -245,24 +245,24 @@ class RationalSeries:
             raise ValueError("series denominator must have nonzero constant term")
 
     def coefficients(self, upto: int) -> list[int]:
-        """Exact coefficients of t^0 .. t^upto by power series long division."""
+        """Exact coefficients of t^0 .. t^upto by power series long division
+        over the integers; ValueError at the first one that is not an
+        integer."""
         d0 = self.den[0]
         # only the denominator terms of exponent 1 .. upto reach a coefficient
         tail = sorted((j, c) for j, c in self.den.items() if 0 < j <= upto)
-        out: list[Fraction] = []
+        out: list[int] = []
         for k in range(upto + 1):
-            acc = Fraction(self.num.get(k, 0))
+            acc = self.num.get(k, 0)
             for j, c in tail:
                 if j > k:
                     break
                 acc -= c * out[k - j]
-            out.append(acc / d0)
-        ints = []
-        for q in out:
-            if q.denominator != 1:
-                raise ValueError(f"non-integer series coefficient {q}")
-            ints.append(q.numerator)
-        return ints
+            q, r = divmod(acc, d0)
+            if r:
+                raise ValueError(f"non-integer series coefficient {Fraction(acc, d0)}")
+            out.append(q)
+        return out
 
     def __add__(self, other: RationalSeries) -> RationalSeries:
         return RationalSeries(

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from conftest import SRC
-from metabelian import cli
+from metabelian import cli, dihedral, invariants
 from metabelian.expr import MAX_NESTING, eval_assoc, parse
 from metabelian.invariants import DegreeReport
 
@@ -291,8 +291,8 @@ def _run_capped(*argv):
 
 
 def test_verify_cst_huge_n_is_bounded():
-    # checks rho and tau only, so n = 10^8 needs neither the group list
-    # nor more than 1 GiB
+    # the Reynolds projection applies tau alone, so n = 10^8 needs
+    # neither the group list nor a root of unity nor more than 1 GiB
     proc = _run_capped("verify", "cst", "--n", "100000000", "--json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
@@ -342,6 +342,34 @@ def test_overlong_result_coefficient_exit_2(text):
 def test_result_coefficient_at_the_digit_limit(capsys):
     code, out, _ = _run(capsys, "canon", "10^4300 - 1")
     assert code == 0 and out == "9" * 4300 + "\n"
+
+
+def test_no_field_without_a_rotation(capsys, monkeypatch):
+    # the README claim: a field Q(zeta_m) appears only under a caller's
+    # rotation, so no command reaches the one field builder in dihedral
+    def no_field(n, j):
+        raise AssertionError(f"rotation_scalar({n}, {j}) was called")
+
+    monkeypatch.setattr(dihedral, "rotation_scalar", no_field)
+    # bases cached by earlier tests would hide a call
+    for cached in (
+        invariants._invariant_rows_lie,
+        invariants._cuv_invariant_polys,
+        invariants._tensor_invariant_polys,
+    ):
+        cached.cache_clear()
+    cases = [
+        (1, "verify", "assoc", "--n", "3", "--max-deg", "8"),
+        (0, "verify", "lie", "--n", "5", "--max-deg", "12"),
+        (0, "verify", "cuv-module", "--n", "4", "--max-deg", "10"),
+        (0, "verify", "cst", "--n", "7"),
+        (0, "reynolds", "--n", "3", "u*v + i*x^2*y - 1/3*[x,y]*v^3"),
+        (0, "reynolds", "--n", "7", "--basis", "xy", "u^7 + i*[u,v]*u^3*v^3"),
+        (0, "canon", "--basis", "xy", "u*v - i*[x,y]*u"),
+        (0, "hilbert", "assoc", "--n", "5"),
+    ]
+    for code, *argv in cases:
+        assert _run(capsys, *argv)[0] == code, argv
 
 
 def test_verify_exit_1_on_any_mismatch(capsys, monkeypatch):

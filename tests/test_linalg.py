@@ -6,6 +6,7 @@ import pytest
 
 from metabelian.cyclo import CycNum, imag_unit
 from metabelian.linalg import RowEchelon, express_in_span, rank_of
+from metabelian.poly import uv
 
 
 def _c(q, order=4):
@@ -36,6 +37,11 @@ def test_express_in_span():
     # 2*g0 - 3/2*g1
     target = {0: _c(2), 1: _c(Fraction(5, 2)), 2: _c(Fraction(-3, 2))}
     assert express_in_span([g0, g1], target) == [_c(2), _c(Fraction(-3, 2))]
+    # the same rows with monomial columns u^2, u*v, v^2
+    cols = (uv(2, 0), uv(1, 1), uv(0, 2))
+    tuple_rows = [{cols[c]: x for c, x in r.items()} for r in (g0, g1, target)]
+    assert express_in_span(tuple_rows[:2], tuple_rows[2]) == [_c(2), _c(Fraction(-3, 2))]
+    assert express_in_span(tuple_rows[:1], tuple_rows[2]) is None
     # 2*g0 + i*g1 has a non-rational entry, as does a generator here
     with pytest.raises(ValueError):
         express_in_span([g0, g1], {0: _c(2), 1: _c(4) + i, 2: i})

@@ -95,6 +95,16 @@ def test_homogeneous_helpers():
 
 def test_series_geometric():
     assert RationalSeries({0: 1}, {0: 1, 1: -1}).coefficients(4) == [1, 1, 1, 1, 1]
+    # a constant term other than 1: 2 / (2 - 2t) = 1 / (1 - t)
+    assert RationalSeries({0: 2}, {0: 2, 1: -2}).coefficients(4) == [1, 1, 1, 1, 1]
+
+
+def test_series_non_integer_coefficient_raises():
+    # (4 + 3t) / (-2 + 2t) = -2 - 7/2 t - ...: the first non-integer is t^1
+    s = RationalSeries({0: 4, 1: 3}, {0: -2, 1: 2})
+    assert s.coefficients(0) == [-2]
+    with pytest.raises(ValueError, match=r"^non-integer series coefficient -7/2$"):
+        s.coefficients(5)
 
 
 def test_series_invariant_ring_count():
