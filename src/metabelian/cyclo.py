@@ -305,22 +305,17 @@ class CycNum:
             return (self.coeffs.get(0, _F0), _F0)
         if self.order % 4:
             return None
-        iu = imag_unit(self.order)
-        b = None
-        for e, c in self.coeffs.items():
-            if e == 0:
-                continue
-            ie = iu.coeffs.get(e)
-            if ie is None:
-                return None
-            b = c / ie
-            break
-        if b is None:
+        iu = imag_unit(self.order).coeffs
+        rest = {e: c for e, c in self.coeffs.items() if e}
+        e = next(iter(rest))
+        if e not in iu:
             return None
-        a = self.coeffs.get(0, _F0) - b * iu.coeffs.get(0, _F0)
-        if CycNum.from_rational(self.order, a) + iu * b == self:
-            return (a, b)
-        return None
+        b = rest[e] / iu[e]
+        # a is chosen to match the constant term, so the value is a + b*i
+        # exactly when the other terms match those of b*i
+        if rest != {k: b * c for k, c in iu.items() if k}:
+            return None
+        return (self.coeffs.get(0, _F0) - b * iu.get(0, _F0), b)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -345,24 +340,15 @@ class CycNum:
         return bool(self.coeffs)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
-            neg = c < 0
-            mag = -c if neg else c
-            if e == 0:
-                body = _fraction_text(mag)
-            elif mag == 1:
-                body = f"z({self.order},{e})"
-            else:
-                body = f"{_fraction_text(mag)}*z({self.order},{e})"
-            parts.append((neg, body))
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+            body = _fraction_text(abs(c))
+            if e:
+                z = f"z({self.order},{e})"
+                body = z if body == "1" else f"{body}*{z}"
+            parts.append((c < 0, body))
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"CycNum({self.order}, {self})"
@@ -388,6 +374,19 @@ def _fraction_text(q: Fraction) -> str:
     if q.denominator == 1:
         return _int_text(q.numerator)
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+
+
+def _signed_sum(parts) -> str:
+    """Join (negative, body) pairs as ``a + b - c``; "0" when empty."""
+    text = "".join((" - " if neg else " + ") + body for neg, body in parts)
+    if not text:
+        return "0"
+    return "-" + text[3:] if text.startswith(" - ") else text[3:]
+
+
+def _powers(names, exponents) -> list[str]:
+    """``name`` or ``name^e`` for each nonzero exponent, in order."""
+    return [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e]
 
 
 def root_of_unity(m: int, k: int) -> CycNum:

@@ -36,9 +36,9 @@ from functools import lru_cache
 from itertools import chain
 
 from .assoc import MetAssocElem
-from .cyclo import CycNum, _fraction_text, imag_unit
+from .cyclo import CycNum, _fraction_text, _powers, _signed_sum, imag_unit
 from .lie import MetLieElem
-from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE
+from .poly import IU, IU1, IU2, ONE
 
 __all__ = [
     "Bracket",
@@ -76,33 +76,31 @@ class ExprSyntaxError(ValueError):
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Sum:
+class _Binary:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Difference:
-    left: object
-    right: object
+class Sum(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Product:
-    left: object
-    right: object
+class Difference(_Binary):
+    pass
+
+
+class Product(_Binary):
+    pass
+
+
+class Bracket(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
 class Power:
     base: object
     exponent: int
-
-
-@dataclass(frozen=True)
-class Bracket:
-    left: object
-    right: object
 
 
 @dataclass(frozen=True)
@@ -385,89 +383,47 @@ def _scalar_text(c: CycNum) -> tuple[bool, str]:
     g = c.as_gaussian()
     if g is not None:
         a, b = g
-        if b == 0:
-            return (a < 0, _fraction_text(-a if a < 0 else a))
-        if a == 0:
-            mag = -b if b < 0 else b
-            return (b < 0, "i" if mag == 1 else f"{_fraction_text(mag)}*i")
-        ipart = "i" if abs(b) == 1 else f"{_fraction_text(abs(b))}*i"
-        joiner = " - " if b < 0 else " + "
-        return (False, f"({_fraction_text(a)}{joiner}{ipart})")
+        real = (a < 0, _fraction_text(abs(a)))
+        imag = (b < 0, "i" if abs(b) == 1 else f"{_fraction_text(abs(b))}*i")
+        if not b:
+            return real
+        if not a:
+            return imag
+        return (False, f"({_signed_sum([real, imag])})")
     text = str(c)
     if len(c.coeffs) > 1:
         return (False, f"({text})")
     return (True, text[1:]) if text.startswith("-") else (False, text)
 
 
-def _join_terms(chunks: list[tuple[CycNum, str]]) -> str:
-    if not chunks:
-        return "0"
-    rendered = []
-    for c, mono_text in chunks:
-        neg, body = _scalar_text(c)
-        if not mono_text:
-            text = body
-        elif body == "1":
-            text = mono_text
-        else:
-            text = f"{body}*{mono_text}"
-        rendered.append((neg, text))
-    out = ("-" if rendered[0][0] else "") + rendered[0][1]
-    for neg, text in rendered[1:]:
-        out += (" - " if neg else " + ") + text
-    return out
-
-
-def _power_text(name: str, e: int) -> str:
-    return name if e == 1 else f"{name}^{e}"
-
-
-def _uv_mono_text(mono: tuple[int, ...], letters: tuple[str, str]) -> str:
-    parts = []
-    if mono[IU]:
-        parts.append(_power_text(letters[0], mono[IU]))
-    if mono[IV]:
-        parts.append(_power_text(letters[1], mono[IV]))
-    return "*".join(parts)
-
-
-def _comm_mono_text(mono: tuple[int, ...], letters: tuple[str, str], bracket: str) -> str:
-    parts = []
-    if mono[IU1]:
-        parts.append(_power_text(letters[0], mono[IU1]))
-    if mono[IV1]:
-        parts.append(_power_text(letters[1], mono[IV1]))
-    parts.append(bracket)
-    if mono[IU2]:
-        parts.append(_power_text(letters[0], mono[IU2]))
-    if mono[IV2]:
-        parts.append(_power_text(letters[1], mono[IV2]))
-    return "*".join(parts)
+def _term(c: CycNum, mono: str) -> tuple[bool, str]:
+    """A coefficient times a monomial's text, as (negate, body)."""
+    neg, body = _scalar_text(c)
+    if mono:
+        body = mono if body == "1" else f"{body}*{mono}"
+    return neg, body
 
 
 def _print_assoc(e: MetAssocElem, letters: tuple[str, str], bracket: str) -> str:
-    chunks = [(c, _uv_mono_text(m, letters)) for m, c in e.poly_part.sorted_terms()]
-    chunks += [
-        (c, _comm_mono_text(m, letters, bracket))
+    poly = (
+        _term(c, "*".join(_powers(letters, m[IU:IU1])))
+        for m, c in e.poly_part.sorted_terms()
+    )
+    comm = (
+        _term(c, "*".join([*_powers(letters, m[IU1:IU2]), bracket, *_powers(letters, m[IU2:])]))
         for m, c in e.comm_part.sorted_terms()
-    ]
-    return _join_terms(chunks)
+    )
+    return _signed_sum(chain(poly, comm))
 
 
 def _print_lie(e: MetLieElem, letters: tuple[str, str], bracket: str) -> str:
-    chunks: list[tuple[CycNum, str]] = []
-    if not e.lin_u.is_zero():
-        chunks.append((e.lin_u, letters[0]))
-    if not e.lin_v.is_zero():
-        chunks.append((e.lin_v, letters[1]))
-    for mono, c in e.comm.sorted_terms():
-        parts = [bracket]
-        if mono[IU]:
-            parts.append(_power_text(f"ad({letters[0]})", mono[IU]))
-        if mono[IV]:
-            parts.append(_power_text(f"ad({letters[1]})", mono[IV]))
-        chunks.append((c, " ".join(parts)))
-    return _join_terms(chunks)
+    ads = [f"ad({name})" for name in letters]
+    lin = (_term(c, name) for c, name in zip((e.lin_u, e.lin_v), letters) if c)
+    comm = (
+        _term(c, " ".join([bracket, *_powers(ads, m[IU:IU1])]))
+        for m, c in e.comm.sorted_terms()
+    )
+    return _signed_sum(chain(lin, comm))
 
 
 def print_elem(e, basis: str = "uv") -> str:

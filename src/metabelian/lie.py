@@ -9,6 +9,7 @@ ad, which is what makes this coordinate form a basis.
 
 from __future__ import annotations
 
+from .assoc import MetAssocElem
 from .cyclo import CycNum
 from .poly import IU, IU1, IU2, IV, ONE, ZERO, CommPoly
 
@@ -133,14 +134,12 @@ def bracket(e1: MetLieElem, e2: MetLieElem) -> MetLieElem:
     return e1.bracket(e2)
 
 
-def embed_assoc(e: MetLieElem):
+def embed_assoc(e: MetLieElem) -> MetAssocElem:
     """Embed into the associative algebra via the commutator operation.
 
     ad by u becomes right minus left multiplication, so the comm monomial
     u^a v^b lands on (u2 - u1)^a (v2 - v1)^b over the [v,u] marker.
     """
-    from .assoc import MetAssocElem
-
     u, v = CommPoly.variable("u"), CommPoly.variable("v")
     ad = {IU: u.moved(IU2) - u.moved(IU1), IV: v.moved(IU2) - v.moved(IU1)}
     return MetAssocElem(CommPoly.linear(e.lin_u, e.lin_v), e.comm.substitute(ad))

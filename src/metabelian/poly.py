@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, itemgetter
 
-from .cyclo import CycNum
+from .cyclo import CycNum, _powers
 
 __all__ = [
     "CommPoly",
@@ -59,12 +59,7 @@ def uv(a: int, b: int) -> tuple[int, ...]:
 
 def _mono_text(mono: tuple[int, ...]) -> str:
     """A monomial as a product of powers, e.g. u^2*v or u1*v2^3."""
-    parts = [
-        VARIABLES[j] if e == 1 else f"{VARIABLES[j]}^{e}"
-        for j, e in enumerate(mono)
-        if e
-    ]
-    return "*".join(parts) or "1"
+    return "*".join(_powers(VARIABLES, mono)) or "1"
 
 
 class CommPoly:
@@ -131,14 +126,9 @@ class CommPoly:
         return CommPoly._make(out)
 
     def scale(self, c) -> CommPoly:
-        if isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-            if not c:
-                return CommPoly.zero()
-            return CommPoly._make({m: v * c for m, v in self.terms.items()})
-        if c.is_zero():
+        if not c:
             return CommPoly.zero()
-        return CommPoly({m: v * c for m, v in self.terms.items()})
+        return CommPoly._make({m: v * c for m, v in self.terms.items()})
 
     def substitute(self, images: dict[int, CommPoly]) -> CommPoly:
         """Apply the ring homomorphism sending the variable at each slot

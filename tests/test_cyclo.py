@@ -139,10 +139,16 @@ def test_rationals_combine_with_every_order(m):
 
 
 def test_gaussian_detection():
-    i = imag_unit(12)
-    c = CycNum.from_rational(12, Fraction(1, 2)) + i * 3
-    assert c.as_gaussian() == (Fraction(1, 2), Fraction(3))
-    assert root_of_unity(12, 1).as_gaussian() is None
+    # at order 420, phi = 96 < 105 = order/4, so i reduces to several terms
+    for order in (4, 12, 20, 420):
+        i = imag_unit(order)
+        for a, b in ((Fraction(1, 2), Fraction(3)), (Fraction(-2, 3), Fraction(-1))):
+            c = CycNum.from_rational(order, a) + i * b
+            assert c.as_gaussian() == (a, b)
+            # zeta^k lies in Q(i) only when order/4 divides k, so order 4 has none to add
+            for k in (1, order // 4 + 1) if order > 4 else ():
+                assert root_of_unity(order, k).as_gaussian() is None
+                assert (c + root_of_unity(order, k)).as_gaussian() is None
 
 
 def test_pow_negative():

@@ -37,6 +37,10 @@ def test_parse_shapes():
     assert parse("2/3") == RationalLit(Fraction(2, 3))
     assert parse("(u)") == Group(Variable("u"))
     assert parse("-u") == Difference(RationalLit(Fraction(0)), Variable("u"))
+    # the binary nodes share their fields, but not equality or repr
+    u, v = Variable("u"), Variable("v")
+    assert parse("u*v") == Product(u, v) != Sum(u, v)
+    assert repr(parse("u+v")) == "Sum(left=Variable(name='u'), right=Variable(name='v'))"
 
 
 def test_parse_errors_are_positioned():
@@ -101,7 +105,25 @@ def test_print_lie():
         CommPoly.term(uv(2, 1), CycNum.from_rational(4, 3))
     )
     assert print_elem(e) == "u + 3*[v,u] ad(u)^2 ad(v)"
-    assert "[y,x]" in print_elem(e, "xy")
+    assert print_elem(e, "xy") == (
+        "x + i*y - 6*i*[y,x] ad(x)^3 + 6*[y,x] ad(x)^2 ad(y)"
+        " - 6*i*[y,x] ad(x) ad(y)^2 + 6*[y,x] ad(y)^3"
+    )
+    i = imag_unit(4)
+    e = MetLieElem(
+        CycNum.from_rational(4, Fraction(-3, 2)),
+        i * -2 + Fraction(1, 2),
+        CommPoly({uv(0, 0): -i, uv(1, 2): i + Fraction(2, 3), uv(3, 0): i * 5}),
+    )
+    assert print_elem(e) == (
+        "-3/2*u + (1/2 - 2*i)*v + 5*i*[v,u] ad(u)^3"
+        " + (2/3 + i)*[v,u] ad(u) ad(v)^2 - i*[v,u]"
+    )
+    assert print_elem(e, "xy") == (
+        "(-1 - 2*i)*x + (-2 - 2*i)*y + (12 - 4/3*i)*[y,x] ad(x)^3"
+        " + (-4/3 + 28*i)*[y,x] ad(x)^2 ad(y) + (-28 - 4/3*i)*[y,x] ad(x) ad(y)^2"
+        " + (-4/3 - 12*i)*[y,x] ad(y)^3 - 2*[y,x]"
+    )
 
 
 def test_to_xy_identity():
