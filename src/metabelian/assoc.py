@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycNum
-from .poly import IU, IU1, IU2, IV, IV1, IV2, ONE, CommPoly, accumulate, uv
+from .poly import IU1, IU2, ONE, CommPoly, accumulate, uv
 
 __all__ = [
     "MetAssocElem",
@@ -86,6 +86,13 @@ def _word_times(word: tuple[int, ...], in_comm: bool, poly_terms, comm_terms) ->
     for (_, _, a2, b2, c2, d2), x in comm_terms:
         accumulate(out, (0, 0, a + a2, b + b2, c2, d2), x)
     return out
+
+
+def _power(table: list, k: int):
+    """x^k from ``table`` = [1, x, x^2, ...], which is extended as needed."""
+    while len(table) <= k:
+        table.append(table[-1] * table[1])
+    return table[k]
 
 
 class MetAssocElem:
@@ -174,25 +181,48 @@ class MetAssocElem:
     def linear_image(self, a: CycNum, b: CycNum, c: CycNum, d: CycNum) -> MetAssocElem:
         """The image under the endomorphism u -> a*u + c*v, v -> b*u + d*v.
 
-        A word u^p v^q maps to (gu)^p (gv)^q, from powers of the two
-        images built once per call.  The commutator block needs no
-        product: [gv, gu] = det(g) [v,u], and left and right
-        multiplication by u, v act on the commutator ideal as the
-        commuting variables u1, v1 and u2, v2, so it maps by det(g) times
-        the commutative substitution g on (u1, v1) and on (u2, v2).
+        Both blocks are built from the images lu = a*u + c*v and
+        lv = b*u + d*v of the two letters, and from their powers, built
+        once per call.
+
+        The commutator block needs no algebra product:
+        [gv, gu] = det(g) [v,u], and left and right multiplication by u, v
+        act on the commutator ideal as the commuting variables u1, v1 and
+        u2, v2.  So u1^p v1^q u2^r v2^s maps to det(g) times the binary form
+        lu^p lv^q in (u1, v1) times lu^r lv^s in (u2, v2).  Each form is
+        built once; the right forms of the terms that share a left pair
+        (p, q) are summed first and meet that pair's left form once.
+
+        A word u^p v^q maps to (gu)^p (gv)^q.  The words that share a
+        u-exponent p are summed first, as the sum over q of c_pq (gv)^q,
+        so the block takes one algebra product per distinct p.
         """
         lu, lv = CommPoly.linear(a, c), CommPoly.linear(b, d)
-        images = {IU1: lu.moved(IU1), IV1: lv.moved(IU1), IU2: lu.moved(IU2), IV2: lv.moved(IU2)}
-        out = MetAssocElem.from_comm(self.comm_part.substitute(images).scale(a * d - b * c))
-        gu, gv = MetAssocElem(lu), MetAssocElem(lv)
-        pu, pv = [MetAssocElem.one()], [MetAssocElem.one()]
-        for mono, coeff in self.poly_part.terms.items():
-            p, q = mono[IU], mono[IV]
-            while len(pu) <= p:
-                pu.append(pu[-1] * gu)
-            while len(pv) <= q:
-                pv.append(pv[-1] * gv)
-            out = out + (pu[p] * pv[q]).scale(coeff)
+        det = a * d - b * c
+        terms = self.comm_part.terms
+        lu_pows, lv_pows = [CommPoly.constant(ONE), lu], [CommPoly.constant(ONE), lv]
+        pairs = {m[IU1:IU2] for m in terms} | {m[IU2:] for m in terms}
+        forms = {(p, q): _power(lu_pows, p) * _power(lv_pows, q) for p, q in pairs}
+        by_left: dict[tuple[int, int], dict[tuple[int, ...], CycNum]] = {}
+        for (_, _, p, q, r, s), coeff in terms.items():
+            right = by_left.setdefault((p, q), {})
+            for mono, x in forms[r, s].terms.items():
+                accumulate(right, mono, x * coeff)
+        comm: dict[tuple[int, ...], CycNum] = {}
+        for pair, right in by_left.items():
+            for (u1, v1, *_), x in forms[pair].terms.items():
+                x = x * det
+                for (u2, v2, *_), y in right.items():
+                    accumulate(comm, _comm_monomial(u1, v1, u2, v2), x * y)
+        out = MetAssocElem.from_comm(CommPoly._make(comm))
+
+        gu_pows = [MetAssocElem.one(), MetAssocElem(lu)]
+        gv_pows = [MetAssocElem.one(), MetAssocElem(lv)]
+        by_u: dict[int, MetAssocElem] = {}
+        for (p, q, *_), coeff in self.poly_part.terms.items():
+            by_u[p] = by_u.get(p, MetAssocElem.zero()) + _power(gv_pows, q).scale(coeff)
+        for p, right in by_u.items():
+            out = out + _power(gu_pows, p) * right
         return out
 
     def homogeneous_component(self, d: int) -> MetAssocElem:

@@ -95,8 +95,8 @@ def _read_expression(args) -> str:
 
 
 def _cmd_canon(args) -> int:
-    elem = eval_assoc(parse(_read_expression(args)))
-    print(print_elem(elem, args.basis))
+    elem = eval_assoc(parse(_read_expression(args)), args.basis)
+    print(print_elem(elem, args.basis, written=args.basis))
     return 0
 
 

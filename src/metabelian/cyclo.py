@@ -396,8 +396,11 @@ def root_of_unity(m: int, k: int) -> CycNum:
     return CycNum(m, {k % m: _F1})
 
 
+@lru_cache(maxsize=None)
 def imag_unit(order: int) -> CycNum:
-    """The square root of -1 inside Q(zeta_order); requires 4 | order."""
+    """The square root of -1 inside Q(zeta_order); requires 4 | order.
+    Cached: every printed coefficient and every 'i' leaf asks for it, and
+    no operation changes a ``CycNum`` in place."""
     if order % 4:
         raise ValueError(f"Q(zeta_{order}) does not contain i, need 4 | order")
     return root_of_unity(order, order // 4)

@@ -15,11 +15,14 @@ Parentheses and brackets nest at most MAX_NESTING deep; deeper input is
 a syntax error.
 
 The language denotes elements over Q(i): rational literals are
-field-free and 'i' is the square root of -1 of order 4.  x and y are
-rewritten to (u+v)/2 and (u-v)/(2i) before evaluation, so every
-expression lands in the u, v presentation.  Printing over x, y applies
-the inverse substitution u -> x + i*y, v -> x - i*y with
-``linear_image``; both directions come from ``_xy_matrix``.  Printing
+field-free and 'i' is the square root of -1 of order 4.  A text that
+names neither u nor v is evaluated over its own letters, x in the u slot
+and y in the v slot, so it lands in the x, y presentation; only a text
+that mixes u or v with x or y uses the leaves x = (u+v)/2 and
+y = (u-v)/(2i).  ``eval_assoc`` and ``print_elem`` then change basis at
+most once, with one ``linear_image``: u -> x + i*y, v -> x - i*y
+towards x, y and its inverse towards u, v, both from ``_xy_matrix``.
+``canon --basis xy`` of an x, y text changes basis not at all.  Printing
 uses only grammar atoms whenever the coefficients lie in Q(i), which
 covers every element the language itself can denote; other cyclotomic
 coefficients, which only a caller's rotation brings in, render in the
@@ -175,7 +178,7 @@ def _tokenize(text: str) -> list[_Token]:
 _ATOM_EXPECTED = ("a number", "'i'", "'u'", "'v'", "'x'", "'y'", "'('", "'['")
 
 # Each nesting level costs a few interpreter frames in the parser and in
-# eval_assoc; this bound keeps both well inside Python's recursion limit.
+# evaluation; this bound keeps both well inside Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -307,14 +310,28 @@ def _xy_matrix(order: int) -> tuple[CycNum, CycNum, CycNum, CycNum]:
     return ONE, ONE, i, -i
 
 
+def _xy_inverse(order: int) -> tuple[CycNum, CycNum, CycNum, CycNum]:
+    """The inverse of ``_xy_matrix``: x = (u+v)/2 and y = (u-v)/(2i)."""
+    a, b, c, d = _xy_matrix(order)
+    det = a * d - b * c
+    return d / det, -b / det, -c / det, a / det
+
+
 @lru_cache(maxsize=None)
 def _xy_letters() -> tuple[MetAssocElem, MetAssocElem]:
-    """x and y over u, v: the images of the two letters under the inverse
-    of ``_xy_matrix``, that is (u+v)/2 and (u-v)/(2i)."""
-    a, b, c, d = _xy_matrix(4)
-    det = a * d - b * c
-    inverse = (d / det, -b / det, -c / det, a / det)
-    return tuple(MetAssocElem.letter(name).linear_image(*inverse) for name in "uv")
+    """x and y over u, v: the images of the two letters under
+    ``_xy_inverse``, that is (u+v)/2 and (u-v)/(2i)."""
+    return tuple(MetAssocElem.letter(name).linear_image(*_xy_inverse(4)) for name in "uv")
+
+
+def _field_order(e: MetAssocElem | MetLieElem) -> int:
+    """The order of the first non-rational coefficient, 4 when every
+    coefficient is rational."""
+    if isinstance(e, MetLieElem):
+        coeffs = chain((e.lin_u, e.lin_v), e.comm.terms.values())
+    else:
+        coeffs = chain(e.poly_part.terms.values(), e.comm_part.terms.values())
+    return next((c.order for c in coeffs if not c.is_rational()), 4)
 
 
 def to_xy(e: MetAssocElem | MetLieElem) -> MetAssocElem | MetLieElem:
@@ -325,12 +342,20 @@ def to_xy(e: MetAssocElem | MetLieElem) -> MetAssocElem | MetLieElem:
     coefficient, which must contain it, or in Q(i) when every
     coefficient is rational.
     """
-    if isinstance(e, MetLieElem):
-        coeffs = chain((e.lin_u, e.lin_v), e.comm.terms.values())
-    else:
-        coeffs = chain(e.poly_part.terms.values(), e.comm_part.terms.values())
-    order = next((c.order for c in coeffs if not c.is_rational()), 4)
-    return e.linear_image(*_xy_matrix(order))
+    return e.linear_image(*_xy_matrix(_field_order(e)))
+
+
+def _rewrite(e, written: str, basis: str):
+    """An element written over the generators of ``written`` (u, v or
+    x, y in its u, v slots), rewritten over those of ``basis``."""
+    for name in (written, basis):
+        if name not in ("uv", "xy"):
+            raise ValueError(f"basis must be 'uv' or 'xy', not {name!r}")
+    if written == basis:
+        return e
+    if basis == "xy":
+        return to_xy(e)
+    return e.linear_image(*_xy_inverse(_field_order(e)))
 
 
 # ----------------------------------------------------------------------
@@ -340,9 +365,45 @@ def to_xy(e: MetAssocElem | MetLieElem) -> MetAssocElem | MetLieElem:
 _CHAIN_OPS = {Sum: operator.add, Difference: operator.sub, Product: operator.mul}
 
 
-def eval_assoc(node) -> MetAssocElem:
-    """Evaluate a syntax tree over Q(i); x, y are rewritten into u, v
-    first."""
+def _letters(node) -> set[str]:
+    """The variable names a syntax tree uses."""
+    names, stack = set(), [node]
+    while stack:
+        match stack.pop():
+            case Variable(name=name):
+                names.add(name)
+            case _Binary(left=l, right=r):
+                stack += (l, r)
+            case Group(inner=inner):
+                stack.append(inner)
+            case Power(base=b):
+                stack.append(b)
+    return names
+
+
+def eval_assoc(node, basis: str = "uv") -> MetAssocElem:
+    """Evaluate a syntax tree over Q(i), written over the generators of
+    ``basis`` (u, v by default, or x, y in the u, v slots).
+
+    A text that names neither u nor v is evaluated over its own letters,
+    x in the u slot and y in the v slot; a text that names u or v is
+    evaluated over u, v, with the leaves x = (u+v)/2 and y = (u-v)/(2i)
+    where it mixes both.  Either way the basis changes at most once,
+    by one ``linear_image``, and not at all when the text is already
+    written over ``basis``.
+    """
+    if _letters(node) & {"u", "v"}:
+        x, y = _xy_letters()
+        leaves = {"u": MetAssocElem.letter("u"), "v": MetAssocElem.letter("v"), "x": x, "y": y}
+        written = "uv"
+    else:
+        leaves = {"x": MetAssocElem.letter("u"), "y": MetAssocElem.letter("v")}
+        written = "xy"
+    return _rewrite(_evaluate(node, leaves), written, basis)
+
+
+def _evaluate(node, leaves: dict[str, MetAssocElem]) -> MetAssocElem:
+    """Evaluate a syntax tree with each variable name bound to its leaf."""
     # A flat chain such as u+u+...+u parses into a tree as deep as the
     # chain is long, so its left spine is walked by a loop, not recursion.
     spine = []
@@ -354,22 +415,18 @@ def eval_assoc(node) -> MetAssocElem:
             value = MetAssocElem.one().scale(q)
         case ImagLit():
             value = MetAssocElem.one().scale(imag_unit(4))
-        case Variable(name="u") | Variable(name="v"):
-            value = MetAssocElem.letter(node.name)
-        case Variable(name="x"):
-            value = _xy_letters()[0]
-        case Variable(name="y"):
-            value = _xy_letters()[1]
+        case Variable(name=name):
+            value = leaves[name]
         case Group(inner=inner):
-            value = eval_assoc(inner)
+            value = _evaluate(inner, leaves)
         case Power(base=b, exponent=k):
-            value = eval_assoc(b) ** k
+            value = _evaluate(b, leaves) ** k
         case Bracket(left=l, right=r):
-            value = eval_assoc(l).commutator(eval_assoc(r))
+            value = _evaluate(l, leaves).commutator(_evaluate(r, leaves))
         case _:
             raise TypeError(f"not an expression node: {node!r}")
     for op in reversed(spine):
-        value = _CHAIN_OPS[type(op)](value, eval_assoc(op.right))
+        value = _CHAIN_OPS[type(op)](value, _evaluate(op.right, leaves))
     return value
 
 
@@ -426,16 +483,12 @@ def _print_lie(e: MetLieElem, letters: tuple[str, str], bracket: str) -> str:
     return _signed_sum(chain(lin, comm))
 
 
-def print_elem(e, basis: str = "uv") -> str:
-    """Deterministic canonical rendering of an element."""
+def print_elem(e, basis: str = "uv", written: str = "uv") -> str:
+    """Deterministic canonical rendering over the generators of ``basis``
+    of an element written over those of ``written``."""
     if not isinstance(e, (MetAssocElem, MetLieElem)):
         raise TypeError(f"cannot print {type(e).__name__}")
-    if basis == "xy":
-        e = to_xy(e)
-        letters, bracket = ("x", "y"), "[y,x]"
-    elif basis == "uv":
-        letters, bracket = ("u", "v"), "[v,u]"
-    else:
-        raise ValueError(f"basis must be 'uv' or 'xy', not {basis!r}")
+    e = _rewrite(e, written, basis)
+    letters, bracket = (("u", "v"), "[v,u]") if basis == "uv" else (("x", "y"), "[y,x]")
     render = _print_lie if isinstance(e, MetLieElem) else _print_assoc
     return render(e, letters, bracket)

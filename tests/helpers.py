@@ -8,8 +8,9 @@ from random import Random
 from metabelian.assoc import MetAssocElem
 from metabelian.cyclo import CycNum, imag_unit
 from metabelian.dihedral import group_elements
+from metabelian.expr import _evaluate
 from metabelian.lie import MetLieElem
-from metabelian.poly import VARIABLES, CommPoly, uv
+from metabelian.poly import IU, IU1, IU2, IV, IV1, IV2, VARIABLES, CommPoly, uv
 
 
 def random_gaussian(rng: Random, order: int, nonzero: bool = False) -> CycNum:
@@ -46,6 +47,37 @@ def random_matrix(rng: Random, order: int = 4) -> tuple[CycNum, ...]:
 def inverse_matrix(a, b, c, d) -> tuple[CycNum, ...]:
     det = a * d - b * c
     return d / det, -b / det, -c / det, a / det
+
+
+def linear_image_oracle(e: MetAssocElem, a, b, c, d) -> MetAssocElem:
+    """``MetAssocElem.linear_image`` term by term, the reference for the
+    factored one: the commutator block by det(g) times the substitution
+    g on (u1, v1) and (u2, v2), and each word u^p v^q as its own algebra
+    product (gu)^p (gv)^q."""
+    lu, lv = CommPoly.linear(a, c), CommPoly.linear(b, d)
+    images = {IU1: lu.moved(IU1), IV1: lv.moved(IU1), IU2: lu.moved(IU2), IV2: lv.moved(IU2)}
+    out = MetAssocElem.from_comm(e.comm_part.substitute(images).scale(a * d - b * c))
+    gu, gv = MetAssocElem(lu), MetAssocElem(lv)
+    pu, pv = [MetAssocElem.one()], [MetAssocElem.one()]
+    for mono, coeff in e.poly_part.terms.items():
+        p, q = mono[IU], mono[IV]
+        while len(pu) <= p:
+            pu.append(pu[-1] * gu)
+        while len(pv) <= q:
+            pv.append(pv[-1] * gv)
+        out = out + (pu[p] * pv[q]).scale(coeff)
+    return out
+
+
+def eval_with_leaves(node) -> MetAssocElem:
+    """Evaluate a syntax tree over u, v with x and y replaced by the leaves
+    (u+v)/2 and (u-v)/(2i), built by algebra arithmetic: the reference for
+    ``eval_assoc``, which evaluates a text without u, v over its own
+    letters and changes basis once."""
+    u, v = MetAssocElem.letter("u"), MetAssocElem.letter("v")
+    i = imag_unit(4)
+    leaves = {"u": u, "v": v, "x": (u + v).scale(Fraction(1, 2)), "y": (u - v).scale(-i / 2)}
+    return _evaluate(node, leaves)
 
 
 def random_assoc(

@@ -17,7 +17,14 @@ from metabelian.cyclo import CycNum
 from metabelian.invariants import invariant_generators_assoc
 from metabelian.linalg import _integer_row
 from metabelian.poly import CommPoly
-from helpers import inverse_matrix, random_assoc, random_matrix, random_word
+from helpers import (
+    inverse_matrix,
+    linear_image_oracle,
+    random_assoc,
+    random_cyc,
+    random_matrix,
+    random_word,
+)
 
 
 def _mono(*exps):
@@ -164,6 +171,19 @@ def test_linear_image_inverse_round_trip():
         g = random_matrix(rng)
         e = random_assoc(rng, max_degree=6, terms=4)
         assert e.linear_image(*g).linear_image(*inverse_matrix(*g)) == e
+
+
+def test_linear_image_matches_term_by_term_oracle():
+    # many terms of low degree, so words share u-exponents and commutator
+    # terms share left and right exponent pairs; singular g included
+    rng = Random(83)
+    one, zero = CycNum.one(4), CycNum.zero(4)
+    singular = [(one, one, one, one), (zero, one, zero, one), (zero, zero, zero, zero)]
+    for order in (4, 12):
+        for k in range(15):
+            g = singular[k] if k < len(singular) else random_matrix(rng, order)
+            e = random_assoc(rng, order, max_degree=6, terms=10, coeff=random_cyc)
+            assert e.linear_image(*g) == linear_image_oracle(e, *g)
 
 
 def _by_exponents(e):

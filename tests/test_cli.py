@@ -10,8 +10,10 @@ import pytest
 
 from conftest import SRC
 from metabelian import cli, dihedral, invariants
-from metabelian.expr import MAX_NESTING, eval_assoc, parse
+from metabelian.assoc import MetAssocElem
+from metabelian.expr import MAX_NESTING, eval_assoc, parse, print_elem
 from metabelian.invariants import DegreeReport
+from helpers import eval_with_leaves, random_assoc
 
 
 def _run(capsys, *argv):
@@ -370,6 +372,32 @@ def test_no_field_without_a_rotation(capsys, monkeypatch):
     ]
     for code, *argv in cases:
         assert _run(capsys, *argv)[0] == code, argv
+
+
+def _xy_texts():
+    rng = Random(157)
+    printed = [print_elem(random_assoc(rng, max_degree=8), "xy") for _ in range(3)]
+    return ["x^2 + y^2", "[x,y]", "3/4 - i", "i*(x - 1/2*y)^3*[y,x] + 7*y", *printed]
+
+
+def test_canon_xy_of_xy_text_changes_no_basis(capsys, monkeypatch):
+    # canon --basis xy prints an x, y text's own-letter evaluation, with
+    # no change of basis at all
+    texts = _xy_texts()
+    expected = [print_elem(eval_with_leaves(parse(t)), "xy") + "\n" for t in texts]
+
+    def no_basis_change(*args):
+        raise AssertionError("linear_image was called")
+
+    monkeypatch.setattr(MetAssocElem, "linear_image", no_basis_change)
+    for text, out in zip(texts, expected):
+        assert _run(capsys, "canon", "--basis", "xy", text) == (0, out, "")
+
+
+def test_canon_uv_of_xy_text_matches_leaf_evaluation(capsys):
+    for text in _xy_texts():
+        expected = print_elem(eval_with_leaves(parse(text))) + "\n"
+        assert _run(capsys, "canon", "--basis", "uv", text) == (0, expected, "")
 
 
 def test_verify_exit_1_on_any_mismatch(capsys, monkeypatch):

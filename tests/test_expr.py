@@ -19,10 +19,11 @@ from metabelian.expr import (
     eval_assoc,
     parse,
     print_elem,
+    to_xy,
 )
 from metabelian.lie import MetLieElem
 from metabelian.poly import CommPoly, uv
-from helpers import random_assoc
+from helpers import eval_with_leaves, random_assoc
 
 
 def test_parse_shapes():
@@ -140,6 +141,37 @@ def test_round_trip_uv_and_xy():
     for _ in range(40):
         e = random_assoc(rng, order=4, max_degree=5, terms=3)
         assert eval_assoc(parse(print_elem(e, "xy"))) == e
+
+
+def test_own_letter_evaluation_matches_leaves():
+    # an x, y text is evaluated over its own letters and changes basis
+    # once; a text mixing u or v with x or y uses the leaves
+    rng = Random(151)
+    for _ in range(5):
+        e, f = (random_assoc(rng, order=4, max_degree=8) for _ in range(2))
+        xy = print_elem(e, "xy")
+        assert eval_assoc(parse(xy)) == e == eval_with_leaves(parse(xy))
+        assert eval_assoc(parse(xy), "xy") == to_xy(e)
+        assert print_elem(eval_assoc(parse(xy), "xy"), "uv", "xy") == print_elem(e)
+        mixed = f"-1/3*i*[x,{print_elem(f)}] + u*(x + i*y)^3 - 2/5*y^2"
+        expect = eval_with_leaves(parse(mixed))
+        assert eval_assoc(parse(mixed)) == expect
+        assert eval_assoc(parse(mixed), "xy") == to_xy(expect)
+    for text in ("3/4 - 2*i", "i*(x - 1/2*y)^3*[y,x] + 7", "u*v - i*[x,y]*u"):
+        expect = eval_with_leaves(parse(text))
+        assert eval_assoc(parse(text)) == expect
+        assert print_elem(eval_assoc(parse(text), "xy"), "xy", "xy") == print_elem(expect, "xy")
+
+
+def test_unknown_basis_is_rejected():
+    e = eval_assoc(parse("u"))
+    for call in (
+        lambda: eval_assoc(parse("u"), "ab"),
+        lambda: print_elem(e, "ab"),
+        lambda: print_elem(e, "uv", "ab"),
+    ):
+        with pytest.raises(ValueError, match="basis must be 'uv' or 'xy', not 'ab'"):
+            call()
 
 
 def test_round_trip_with_gaussian_coefficients():
