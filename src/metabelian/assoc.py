@@ -7,10 +7,10 @@ the basis word u^a v^b [v,u] u^c v^d, with u1, v1 tracking multipliers on
 the left of [v,u] and u2, v2 multipliers on the right.  Both parts are
 keyed by the six-slot exponent tuples of ``poly``, (a, b, 0, 0, 0, 0)
 and (0, 0, a, b, c, d): the one monomial format of the package, which
-``_word_times`` and the row columns of ``invariants`` share.  This works
-because left factors of a commutator commute with each other, right
-factors commute with each other, and any product of two commutator terms
-vanishes.
+``_column`` reads as digits for the row columns of ``invariants``.
+This works because left factors of a commutator commute with each
+other, right factors commute with each other, and any product of two
+commutator terms vanishes.
 
 Multiplication uses a closed form for the cross term that appears when
 the u-letters of the right factor move through the v-letters of the left
@@ -58,33 +58,50 @@ def _cross_term(p1: CommPoly, p2: CommPoly) -> CommPoly:
     return CommPoly._make(out)
 
 
-def _word_times(word: tuple[int, ...], in_comm: bool, poly_terms, comm_terms) -> dict:
+def _column(mono: tuple[int, ...], in_comm: bool, base: int) -> int:
+    """The row column of a basis word: its exponents read as digits in
+    ``base``, which must exceed each of them, negated so that the larger
+    word has the smaller column.
+
+    u^a v^b is -(a*base + b) and u1^a v1^b u2^c v2^d is
+    base^4 - (a*base^3 + b*base^2 + c*base + d), so a degree's columns
+    ascend in ``basis_monomials`` order.  The sign tells the two blocks
+    apart, as the shared all-zero tuple of 1 and [v,u] cannot.
+    """
+    if in_comm:
+        _, _, a, b, c, d = mono
+        return base**4 - (((a * base + b) * base + c) * base + d)
+    return -(mono[0] * base + mono[1])
+
+
+def _word_times(col: int, base: int, poly_terms, comm_terms) -> dict[int, int]:
     """Integer image of one basis word under right multiplication.
 
-    ``word`` is the exponent tuple of u^a v^b or, when ``in_comm``, of
-    the commutator word u1^a v1^b u2^c v2^d; ``poly_terms`` and
-    ``comm_terms`` are the (exponents, int) pairs of the right factor's
-    two parts.  The rules of ``__mul__`` on exponent tuples: u^a v^b
-    times u^c v^d is u^(a+c) v^(b+d) plus the cross monomials of
-    ``_cross_term``, a word times a commutator term shifts it on the
-    left, a commutator term times a word shifts it on the right, and
-    two commutator terms multiply to 0.  The image is keyed by exponent
-    tuples, which tell the two parts apart in a positive degree.
+    ``col`` is the word's ``_column`` in ``base``, and ``poly_terms``
+    and ``comm_terms`` are the (exponents, int) pairs of the right
+    factor's two parts; the image is keyed by ``_column`` too.  The
+    rules of ``__mul__``: u^a v^b times u^c v^d is u^(a+c) v^(b+d) plus
+    the cross monomials of ``_cross_term``, a word times a commutator
+    term shifts it on the left, a commutator term times a word shifts
+    it on the right, and two commutator terms multiply to 0.  Exponents
+    add as digits, so only the cross terms of a u^a v^b word read its a
+    and b back.
     """
-    out: dict[tuple[int, ...], int] = {}
-    if in_comm:
-        _, _, a1, b1, c1, d1 = word
-        for (c, d, *_), x in poly_terms:
-            accumulate(out, (0, 0, a1, b1, c1 + c, d1 + d), x)
+    out = {col + _column(m, False, base): x for m, x in poly_terms}
+    if col > 0:
         return out
-    a, b = word[0], word[1]
+    a, b = divmod(-col, base)
+    step = base * base - 1
     for (c, d, *_), x in poly_terms:
-        accumulate(out, (a + c, b + d, 0, 0, 0, 0), x)
         for i in range(c):
+            # u1^(a+i) v1^j u2^(c-1-i) v2^(b-1-j+d) for j = 0..b-1: each
+            # j moves one from the v2 digit to the v1 digit
+            head = _column((0, 0, a + i, 0, c - 1 - i, b - 1 + d), True, base)
             for j in range(b):
-                accumulate(out, (0, 0, a + i, j, c - 1 - i, b - 1 - j + d), x)
-    for (_, _, a2, b2, c2, d2), x in comm_terms:
-        accumulate(out, (0, 0, a + a2, b + b2, c2, d2), x)
+                accumulate(out, head - j * step, x)
+    for m, x in comm_terms:
+        # u^a v^b on the left adds a and b to the u1 and v1 digits
+        accumulate(out, _column(m, True, base) + col * base * base, x)
     return out
 
 

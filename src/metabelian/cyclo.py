@@ -384,6 +384,15 @@ def _signed_sum(parts) -> str:
     return "-" + text[3:] if text.startswith(" - ") else text[3:]
 
 
+def _signed_part(c: CycNum) -> tuple[bool, str]:
+    """``c`` as a (negative, body) part of ``_signed_sum``: a sum in
+    parentheses, a single term with its sign taken out."""
+    text = str(c)
+    if len(c.coeffs) > 1:
+        return (False, f"({text})")
+    return (True, text[1:]) if text.startswith("-") else (False, text)
+
+
 def _powers(names, exponents) -> list[str]:
     """``name`` or ``name^e`` for each nonzero exponent, in order."""
     return [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e]

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .assoc import MetAssocElem
-from .cyclo import CycNum, _fraction_text, _powers, _signed_sum, imag_unit
+from .cyclo import CycNum, _fraction_text, _powers, _signed_part, _signed_sum, imag_unit
 from .lie import MetLieElem
 from .poly import IU, IU1, IU2, ONE
 
@@ -311,10 +311,11 @@ def _xy_matrix(order: int) -> tuple[CycNum, CycNum, CycNum, CycNum]:
 
 
 def _xy_inverse(order: int) -> tuple[CycNum, CycNum, CycNum, CycNum]:
-    """The inverse of ``_xy_matrix``: x = (u+v)/2 and y = (u-v)/(2i)."""
-    a, b, c, d = _xy_matrix(order)
-    det = a * d - b * c
-    return d / det, -b / det, -c / det, a / det
+    """The inverse of ``_xy_matrix``: x = (u+v)/2 and y = (u-v)/(2i),
+    that is (1/2, -i/2, 1/2, i/2), written out so that nothing divides."""
+    half = CycNum(order, {0: Fraction(1, 2)})
+    i = imag_unit(order) * Fraction(1, 2)
+    return half, -i, half, i
 
 
 @lru_cache(maxsize=None)
@@ -447,10 +448,7 @@ def _scalar_text(c: CycNum) -> tuple[bool, str]:
         if not a:
             return imag
         return (False, f"({_signed_sum([real, imag])})")
-    text = str(c)
-    if len(c.coeffs) > 1:
-        return (False, f"({text})")
-    return (True, text[1:]) if text.startswith("-") else (False, text)
+    return _signed_part(c)
 
 
 def _term(c: CycNum, mono: str) -> tuple[bool, str]:

@@ -8,12 +8,13 @@ character count, (W + R) / 2, with no linear algebra.  The invariants
 also come with an explicit basis, the Reynolds images of one weight-0
 monomial per tau-orbit, which is independent by construction; the Lie
 check counts it, and the tests check the character count against it.
-The generated ranks come from exact row reduction, on integer rows
-over basis-word columns for the subalgebra and on the products' own
-monomials for the module checks.  Invariance is tested by the Reynolds
-projection, which applies no rotation, so nothing here builds a root
-of unity.  Nothing uses a tolerance; a report is ok when the numbers
-agree.
+The generated ranks come from exact row reduction: for the subalgebra
+on integer rows whose columns are the basis words' own exponents read
+as digits (``assoc._column``), so no basis is enumerated or indexed,
+and for the module checks on the products' own monomials.  Invariance
+is tested by the Reynolds projection, which applies no rotation, so
+nothing here builds a root of unity.  Nothing uses a tolerance; a
+report is ok when the numbers agree.
 """
 
 from __future__ import annotations
@@ -87,17 +88,6 @@ def default_max_degree(n: int) -> int:
     """The degree a check runs to when none is given: 2n + 4, past the
     degree-(2n+2) corner generator."""
     return 2 * n + 4
-
-
-# ----------------------------------------------------------------------
-# Coordinates
-# ----------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _assoc_index(d: int) -> dict[tuple[int, ...], int]:
-    """Columns of the degree-d basis, keyed by exponent tuple."""
-    poly, comm = basis_monomials(d)
-    return {m: j for j, m in enumerate(poly + comm)}
 
 
 # ----------------------------------------------------------------------
@@ -325,31 +315,26 @@ def corner_generator_relation(n: int) -> tuple[MetAssocElem, MetAssocElem]:
 # Subalgebra generation check
 # ----------------------------------------------------------------------
 
-def _product_rows(graded, span: dict, d: int):
+def _product_rows(graded, span: dict, d: int, base: int):
     """The integer rows of s * g, generator by generator, each s a span
     representative of degree d - deg(g), in the order of ``graded``.
 
-    s * g is the sum of s[j] times the image of the basis word j under
-    right multiplication by g.  The images come from the closed form
-    ``assoc._word_times`` and are kept in one map per generator and
+    Rows are keyed by ``assoc._column`` in ``base``, so a column is its
+    basis word.  s * g is the sum of s[j] times the image of the word j
+    under right multiplication by g.  The images come from the closed
+    form ``assoc._word_times`` and are kept in one map per generator and
     source degree, filled as the representatives reach their columns.
     """
-    # int columns: keyed by monomial tuple, verify assoc ran 2-5x slower
-    index = _assoc_index(d)
     for dg, poly_terms, comm_terms in graded:
         if d < dg:
             continue
-        poly, comm = basis_monomials(d - dg)
         images: dict[int, dict[int, int]] = {}
         for s in span.get(d - dg, ()):
             row: dict[int, int] = {}
             for j, x in s.items():
                 image = images.get(j)
                 if image is None:
-                    in_comm = j >= len(poly)
-                    word = comm[j - len(poly)] if in_comm else poly[j]
-                    terms = _word_times(word, in_comm, poly_terms, comm_terms)
-                    image = images[j] = {index[m]: y for m, y in terms.items()}
+                    image = images[j] = _word_times(j, base, poly_terms, comm_terms)
                 for c, y in image.items():
                     accumulate(row, c, x * y)
             yield row
@@ -399,10 +384,10 @@ def subalgebra_filtration(
         dim_r = dim_invariants_assoc(n, d)
         ech = RowEchelon()
         reps: list[dict[int, int]] = []
-        # the unit spans degree 0; the generators are invariant, so once
-        # the span has the dimension of the invariants no product can
-        # enlarge it
-        for row in _product_rows(graded, span, d) if d else ({0: 1},):
+        # the unit, column 0, spans degree 0; the generators are
+        # invariant, so once the span has the dimension of the
+        # invariants no product can enlarge it
+        for row in _product_rows(graded, span, d, max_degree + 1) if d else ({0: 1},):
             if row and ech.insert(_rational_row(row, 1)):
                 reps.append(row)
                 if ech.rank == dim_r:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, itemgetter
 
-from .cyclo import CycNum, _powers
+from .cyclo import CycNum, _powers, _signed_part, _signed_sum
 
 __all__ = [
     "CommPoly",
@@ -55,11 +55,6 @@ def accumulate(out: dict, key, value) -> None:
 def uv(a: int, b: int) -> tuple[int, ...]:
     """The monomial u^a v^b."""
     return (a, b, 0, 0, 0, 0)
-
-
-def _mono_text(mono: tuple[int, ...]) -> str:
-    """A monomial as a product of powers, e.g. u^2*v or u1*v2^3."""
-    return "*".join(_powers(VARIABLES, mono)) or "1"
 
 
 class CommPoly:
@@ -181,21 +176,15 @@ class CommPoly:
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for m, c in self.sorted_terms():
-            ctext = str(c)
-            if " " in ctext:
-                ctext = f"({ctext})"
-            mtext = _mono_text(m)
-            if mtext == "1":
-                parts.append(ctext)
-            elif ctext == "1":
-                parts.append(mtext)
-            else:
-                parts.append(f"{ctext}*{mtext}")
-        return " + ".join(parts)
+            neg, body = _signed_part(c)
+            # a product of powers, e.g. u^2*v or u1*v2^3; empty for 1
+            mtext = "*".join(_powers(VARIABLES, m))
+            if mtext:
+                body = mtext if body == "1" else f"{body}*{mtext}"
+            parts.append((neg, body))
+        return _signed_sum(parts)
 
 
 # ----------------------------------------------------------------------

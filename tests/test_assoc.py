@@ -7,6 +7,7 @@ import pytest
 
 from metabelian.assoc import (
     MetAssocElem,
+    _column,
     _word_times,
     basis,
     basis_monomials,
@@ -190,20 +191,39 @@ def _by_exponents(e):
     return e.poly_part.terms | e.comm_part.terms
 
 
+def _by_column(e, base):
+    """The coefficients of e keyed by ``_column``."""
+    return {_column(m, False, base): c for m, c in e.poly_part.terms.items()} | {
+        _column(m, True, base): c for m, c in e.comm_part.terms.items()
+    }
+
+
+def test_columns_number_the_basis_in_order():
+    # read in base 13 (the base of a check to degree 12), each degree's
+    # basis words have distinct columns, ascending in basis order
+    for d in range(13):
+        poly, comm = basis_monomials(d)
+        columns = {_column(m, False, 13): m for m in poly} | {_column(m, True, 13): m for m in comm}
+        assert len(columns) == len(poly) + len(comm)
+        assert tuple(columns[c] for c in sorted(columns)) == poly + comm
+
+
 def _assert_word_times_matches_products(g, max_degree=10):
     """Every basis word of degree <= max_degree times g, in closed form
-    on integer terms, against ``__mul__`` scaled by the same denominator."""
+    on integer terms, against ``__mul__`` scaled by the same denominator,
+    both keyed by ``_column`` in a base above every product exponent."""
     _, den = _integer_row(_by_exponents(g))
 
     def terms(part):
         return [(m, int(c.rational_value() * den)) for m, c in part.terms.items()]
 
     poly_terms, comm_terms = terms(g.poly_part), terms(g.comm_part)
+    base = max_degree + g.degree() + 1
     for e in range(max_degree + 1):
         poly, comm = basis_monomials(e)
         for j, (m, word) in enumerate(zip(poly + comm, basis(e))):
-            image = _word_times(m, j >= len(poly), poly_terms, comm_terms)
-            expect = {k: v.rational_value() * den for k, v in _by_exponents(word * g).items()}
+            image = _word_times(_column(m, j >= len(poly), base), base, poly_terms, comm_terms)
+            expect = {k: v.rational_value() * den for k, v in _by_column(word * g, base).items()}
             assert image == expect, (m, g)
 
 

@@ -4,16 +4,20 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from conftest import SRC
-from metabelian import cli, dihedral, invariants
+from metabelian import assoc, cli, dihedral, expr, invariants
 from metabelian.assoc import MetAssocElem
+from metabelian.cyclo import CycNum
 from metabelian.expr import MAX_NESTING, eval_assoc, parse, print_elem
 from metabelian.invariants import DegreeReport
 from helpers import eval_with_leaves, random_assoc
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _run(capsys, *argv):
@@ -277,18 +281,14 @@ def test_verify_cst(capsys):
     assert payload["ok"] is True and payload["degrees"] == []
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
-def _run_capped(*argv):
-    """The CLI in a child process limited to 1 GiB of address space (the
-    limit applies to the child alone)."""
+def _run_capped(*argv, cap=1 << 30):
+    """The CLI in a child process limited to ``cap`` bytes (1 GiB by
+    default) of address space; the limit applies to the child alone."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, "-m", "metabelian.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=_limit_address_space,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
 
 
@@ -307,6 +307,14 @@ def test_verify_assoc_large_n_is_bounded():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["ok"] is True and len(payload["degrees"]) == 7
+
+
+def test_verify_assoc_n24_fits_in_64_mib():
+    # columns are computed from the words' exponents, so memory follows
+    # the rows kept, not the 316k basis words of degree <= 52
+    proc = _run_capped("verify", "assoc", "--n", "24", "--json", cap=64 << 20)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == (DATA / "verify_assoc_n24.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -372,6 +380,52 @@ def test_no_field_without_a_rotation(capsys, monkeypatch):
     ]
     for code, *argv in cases:
         assert _run(capsys, *argv)[0] == code, argv
+
+
+def test_verify_assoc_enumerates_no_basis(capsys, monkeypatch):
+    # subalgebra rows find their columns by arithmetic on the exponents
+    def no_basis(d):
+        raise AssertionError(f"basis_monomials({d}) was called")
+
+    monkeypatch.setattr(assoc, "basis_monomials", no_basis)
+    monkeypatch.setattr(invariants, "basis_monomials", no_basis)
+    code, out, _ = _run(capsys, "verify", "assoc", "--n", "3", "--max-deg", "12", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["first_failing_degree"] == 8
+    assert [r["dim_generated"] for r in payload["degrees"]] == [
+        1, 0, 1, 1, 2, 5, 5, 11, 15, 20, 28, 40, 45
+    ]
+    assert invariants.minimality_check(3).ok
+
+
+def test_no_division_in_canon_or_reynolds(capsys, monkeypatch):
+    # the x,y change of basis is written out, so no command divides
+    def no_inverse(self):
+        raise AssertionError(f"CycNum.inv({self}) was called")
+
+    monkeypatch.setattr(CycNum, "inv", no_inverse)
+    expr._xy_letters.cache_clear()
+    cases = [
+        (("canon", "v*u - 1/2*[u,v]*u^2"), "u*v + 1/2*[v,u]*u^2 + [v,u]"),
+        (("canon", "--basis", "xy", "u*v + v*u"), "2*x^2 + 2*y^2"),
+        (("canon", "x*y - y*x"), "-1/2*i*[v,u]"),
+        (
+            ("canon", "--basis", "xy", "i*(x - 1/2*y)^2*[y,x]"),
+            "i*x^2*[y,x] - i*x*y*[y,x] + 1/4*i*y^2*[y,x]",
+        ),
+        (("canon", "u*x - 3/4*y*v"), "1/2*u^2 + (1/2 + 3/8*i)*u*v - 3/8*i*v^2"),
+        (
+            ("canon", "--basis", "xy", "u*x - 3/4*y*v"),
+            "x^2 + (-3/4 + i)*x*y + 3/4*i*y^2 + (-3/4 + i)*[y,x]",
+        ),
+        (
+            ("reynolds", "--n", "3", "--basis", "xy", "u^3 + i*[u,v]*x"),
+            "x^3 - 3*x*y^2 - y*[y,x] - 2*[y,x]*y",
+        ),
+    ]
+    for argv, expected in cases:
+        assert _run(capsys, *argv) == (0, expected + "\n", ""), argv
 
 
 def _xy_texts():

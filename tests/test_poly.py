@@ -25,6 +25,18 @@ def test_ring_examples():
     assert uv * uv == _pow(u, 2) * _pow(v, 2)
 
 
+def test_repr_signs_terms_like_every_printer():
+    # a negative coefficient is subtracted, a sum is parenthesized and
+    # the constant term follows the monomials
+    one, i = CycNum.one(4), imag_unit(4)
+    p = _var("u") - _var("v").scale(one * 2) + CommPoly.constant(one + i)
+    assert repr(p) == "u - 2*v + (1 + z(4,1))"
+    assert repr(-p) == "-u + 2*v + (-1 - z(4,1))"
+    mono = (0, 0, 1, 0, 0, 2)
+    assert repr(CommPoly.term(mono, i * -3)) == "-3*z(4,1)*u1*v2^2"
+    assert repr(CommPoly.zero()) == "0"
+
+
 def test_power_sum_identity():
     # (u^n + v^n)^2 - 2 (uv)^n == u^(2n) + v^(2n)
     for n in (3, 4, 5):
