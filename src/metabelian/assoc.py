@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycNum
-from .poly import IU1, IU2, ONE, CommPoly, accumulate, uv
+from .poly import IU1, IU2, IV1, IV2, ONE, CommPoly, _power, accumulate, uv
 
 __all__ = [
     "MetAssocElem",
@@ -103,13 +103,6 @@ def _word_times(col: int, base: int, poly_terms, comm_terms) -> dict[int, int]:
         # u^a v^b on the left adds a and b to the u1 and v1 digits
         accumulate(out, _column(m, True, base) + col * base * base, x)
     return out
-
-
-def _power(table: list, k: int):
-    """x^k from ``table`` = [1, x, x^2, ...], which is extended as needed."""
-    while len(table) <= k:
-        table.append(table[-1] * table[1])
-    return table[k]
 
 
 class MetAssocElem:
@@ -196,42 +189,22 @@ class MetAssocElem:
         return self * other - other * self
 
     def linear_image(self, a: CycNum, b: CycNum, c: CycNum, d: CycNum) -> MetAssocElem:
-        """The image under the endomorphism u -> a*u + c*v, v -> b*u + d*v.
-
-        Both blocks are built from the images lu = a*u + c*v and
-        lv = b*u + d*v of the two letters, and from their powers, built
-        once per call.
+        """The image under the endomorphism u -> a*u + c*v, v -> b*u + d*v,
+        built from the letter images lu = a*u + c*v and lv = b*u + d*v.
 
         The commutator block needs no algebra product:
         [gv, gu] = det(g) [v,u], and left and right multiplication by u, v
         act on the commutator ideal as the commuting variables u1, v1 and
-        u2, v2.  So u1^p v1^q u2^r v2^s maps to det(g) times the binary form
-        lu^p lv^q in (u1, v1) times lu^r lv^s in (u2, v2).  Each form is
-        built once; the right forms of the terms that share a left pair
-        (p, q) are summed first and meet that pair's left form once.
+        u2, v2.  So the block maps by det(g) times one ``substitute``,
+        u1, v1 -> lu, lv in (u1, v1) and u2, v2 -> lu, lv in (u2, v2).
 
         A word u^p v^q maps to (gu)^p (gv)^q.  The words that share a
         u-exponent p are summed first, as the sum over q of c_pq (gv)^q,
         so the block takes one algebra product per distinct p.
         """
         lu, lv = CommPoly.linear(a, c), CommPoly.linear(b, d)
-        det = a * d - b * c
-        terms = self.comm_part.terms
-        lu_pows, lv_pows = [CommPoly.constant(ONE), lu], [CommPoly.constant(ONE), lv]
-        pairs = {m[IU1:IU2] for m in terms} | {m[IU2:] for m in terms}
-        forms = {(p, q): _power(lu_pows, p) * _power(lv_pows, q) for p, q in pairs}
-        by_left: dict[tuple[int, int], dict[tuple[int, ...], CycNum]] = {}
-        for (_, _, p, q, r, s), coeff in terms.items():
-            right = by_left.setdefault((p, q), {})
-            for mono, x in forms[r, s].terms.items():
-                accumulate(right, mono, x * coeff)
-        comm: dict[tuple[int, ...], CycNum] = {}
-        for pair, right in by_left.items():
-            for (u1, v1, *_), x in forms[pair].terms.items():
-                x = x * det
-                for (u2, v2, *_), y in right.items():
-                    accumulate(comm, _comm_monomial(u1, v1, u2, v2), x * y)
-        out = MetAssocElem.from_comm(CommPoly._make(comm))
+        images = {IU1: lu.moved(IU1), IV1: lv.moved(IU1), IU2: lu.moved(IU2), IV2: lv.moved(IU2)}
+        out = MetAssocElem.from_comm(self.comm_part.scale(a * d - b * c).substitute(images))
 
         gu_pows = [MetAssocElem.one(), MetAssocElem(lu)]
         gv_pows = [MetAssocElem.one(), MetAssocElem(lv)]

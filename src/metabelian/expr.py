@@ -258,12 +258,11 @@ class _Parser:
             num = _int_value(tok)
             if self.peek().kind == "/":
                 self.advance()
-                den_tok = self.expect("int")
-                den = _int_value(den_tok)
-                if den == 0:
-                    raise ExprSyntaxError(
-                        den_tok.pos, ("a nonzero denominator",), "'0'"
-                    )
+                den_tok = self.peek()
+                den = _int_value(den_tok) if den_tok.kind == "int" else 0
+                if not den:
+                    self.fail(("a positive integer denominator",))
+                self.advance()
                 return RationalLit(Fraction(num, den))
             return RationalLit(Fraction(num))
         if tok.kind == "name":

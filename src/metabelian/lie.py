@@ -83,7 +83,7 @@ class MetLieElem:
         return MetLieElem(
             a * self.lin_u + b * self.lin_v,
             c * self.lin_u + d * self.lin_v,
-            self.comm.substitute(images).scale(a * d - b * c),
+            self.comm.scale(a * d - b * c).substitute(images),
         )
 
     def module_action(self, f: CommPoly) -> MetLieElem:

@@ -13,7 +13,8 @@ are the rational structural constants of every coefficient field.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, itemgetter
+from functools import reduce
+from operator import add, itemgetter, mul
 
 from .cyclo import CycNum, _powers, _signed_part, _signed_sum
 
@@ -50,6 +51,13 @@ def accumulate(out: dict, key, value) -> None:
         out.pop(key, None)
     else:
         out[key] = value
+
+
+def _power(table: list, k: int):
+    """x^k from ``table`` = [1, x, x^2, ...], which is extended as needed."""
+    while len(table) <= k:
+        table.append(table[-1] * table[1])
+    return table[k]
 
 
 def uv(a: int, b: int) -> tuple[int, ...]:
@@ -127,25 +135,42 @@ class CommPoly:
 
     def substitute(self, images: dict[int, CommPoly]) -> CommPoly:
         """Apply the ring homomorphism sending the variable at each slot
-        (IU .. IV2) to its image.  The powers of each image are built once
-        per call."""
-        powers: dict[int, list[CommPoly]] = {}
-        out: dict[tuple[int, ...], CycNum] = {}
+        (IU .. IV2) to its image; ValueError if a term raises a variable
+        that has none.
+
+        Each term splits at IU2 into a left part (u, v, u1, v1) and a
+        right part (u2, v2).  Each power of an image is built once, and so
+        is each right part's image.  The terms that share a left part sum
+        their right images first, and the sum meets the left powers once.
+        """
+        unit = CommPoly.constant(ONE)
+        tables = {slot: [unit, image] for slot, image in images.items()}
+
+        def powers(part: tuple[int, ...], first: int) -> list[CommPoly]:
+            # the image powers that part raises, its exponents starting at slot first
+            raised = [(slot, e) for slot, e in enumerate(part, first) if e]
+            for slot, _ in raised:
+                if slot not in tables:
+                    raise ValueError(f"no image given for variable {VARIABLES[slot]!r}")
+            return [_power(tables[slot], e) for slot, e in raised]
+
+        by_left: dict[tuple[int, ...], dict[tuple[int, ...], CycNum]] = {}
+        right_images: dict[tuple[int, ...], CommPoly] = {}
         for mono, coeff in self.terms.items():
-            acc = CommPoly._make({uv(0, 0): coeff})
-            for slot, e in enumerate(mono):
-                if not e:
-                    continue
-                table = powers.get(slot)
-                if table is None:
-                    if slot not in images:
-                        raise ValueError(f"no image given for variable {VARIABLES[slot]!r}")
-                    table = powers[slot] = [images[slot]]
-                while len(table) < e:
-                    table.append(table[-1] * table[0])
-                acc = acc * table[e - 1]
-            for m, c in acc.terms.items():
-                accumulate(out, m, c)
+            part = mono[IU2:]
+            if part not in right_images:
+                right_images[part] = reduce(mul, powers(part, IU2) or [unit])
+            right = by_left.setdefault(mono[:IU2], {})
+            for m, x in right_images[part].terms.items():
+                accumulate(right, m, x * coeff)
+        out: dict[tuple[int, ...], CycNum] = {}
+        for left, right in by_left.items():
+            # a one-term sum scales the first power, the cheapest place; a
+            # longer one meets the product of the powers
+            factors = powers(left, IU)
+            factors.insert(0 if len(right) == 1 else len(factors), CommPoly._make(right))
+            for m, x in reduce(mul, factors).terms.items():
+                accumulate(out, m, x)
         return CommPoly._make(out)
 
     def moved(self, slot: int) -> CommPoly:

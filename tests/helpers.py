@@ -49,14 +49,30 @@ def inverse_matrix(a, b, c, d) -> tuple[CycNum, ...]:
     return d / det, -b / det, -c / det, a / det
 
 
+def substitute_oracle(p: CommPoly, images: dict[int, CommPoly]) -> CommPoly:
+    """``CommPoly.substitute`` term by term, the reference for the
+    factored one: each term is its coefficient times its variables'
+    images, multiplied in one factor at a time."""
+    out = CommPoly.zero()
+    for mono, coeff in p.terms.items():
+        acc = CommPoly.constant(coeff)
+        for slot, e in enumerate(mono):
+            if e and slot not in images:
+                raise ValueError(f"no image given for variable {VARIABLES[slot]!r}")
+            for _ in range(e):
+                acc = acc * images[slot]
+        out = out + acc
+    return out
+
+
 def linear_image_oracle(e: MetAssocElem, a, b, c, d) -> MetAssocElem:
     """``MetAssocElem.linear_image`` term by term, the reference for the
     factored one: the commutator block by det(g) times the substitution
-    g on (u1, v1) and (u2, v2), and each word u^p v^q as its own algebra
-    product (gu)^p (gv)^q."""
+    g on (u1, v1) and (u2, v2), by ``substitute_oracle``, and each word
+    u^p v^q as its own algebra product (gu)^p (gv)^q."""
     lu, lv = CommPoly.linear(a, c), CommPoly.linear(b, d)
     images = {IU1: lu.moved(IU1), IV1: lv.moved(IU1), IU2: lu.moved(IU2), IV2: lv.moved(IU2)}
-    out = MetAssocElem.from_comm(e.comm_part.substitute(images).scale(a * d - b * c))
+    out = MetAssocElem.from_comm(substitute_oracle(e.comm_part, images).scale(a * d - b * c))
     gu, gv = MetAssocElem(lu), MetAssocElem(lv)
     pu, pv = [MetAssocElem.one()], [MetAssocElem.one()]
     for mono, coeff in e.poly_part.terms.items():

@@ -16,14 +16,16 @@ from metabelian.expr import (
     RationalLit,
     Sum,
     Variable,
+    _xy_inverse,
+    _xy_matrix,
     eval_assoc,
     parse,
     print_elem,
     to_xy,
 )
 from metabelian.lie import MetLieElem
-from metabelian.poly import CommPoly, uv
-from helpers import eval_with_leaves, random_assoc
+from metabelian.poly import ONE, CommPoly, uv
+from helpers import eval_with_leaves, linear_image_oracle, random_assoc, random_cyc
 
 
 def test_parse_shapes():
@@ -55,12 +57,16 @@ def test_parse_errors_are_positioned():
         "2*-3": 2,
         "[u v]": 3,
         "u $ v": 2,
+        "1/-2": 2,
+        "1/u": 2,
     }
     for text, offset in cases.items():
         with pytest.raises(ExprSyntaxError) as err:
             parse(text)
         assert err.value.offset == offset
         assert err.value.expected
+        # the expected set is in grammar words, never a token kind
+        assert "'int'" not in str(err.value)
 
 
 def test_eval_examples():
@@ -161,6 +167,29 @@ def test_own_letter_evaluation_matches_leaves():
         expect = eval_with_leaves(parse(text))
         assert eval_assoc(parse(text)) == expect
         assert print_elem(eval_assoc(parse(text), "xy"), "xy", "xy") == print_elem(expect, "xy")
+
+
+def test_commutator_block_changes_basis_with_no_algebra_product(monkeypatch):
+    # [gv, gu] = det(g) [v,u], so a commutator-only element maps both ways
+    # by one substitute, with no product or power in the algebra
+    rng = Random(157)
+    order = 12
+    elems = [
+        MetAssocElem.from_comm(random_assoc(rng, order, 8, terms=8, coeff=random_cyc).comm_part)
+        for _ in range(5)
+    ]
+    xys = [linear_image_oracle(e, *_xy_matrix(order)) for e in elems]
+
+    def no_product(*args):
+        raise AssertionError("an algebra product was taken")
+
+    monkeypatch.setattr(MetAssocElem, "__mul__", no_product)
+    monkeypatch.setattr(MetAssocElem, "__pow__", no_product)
+    with pytest.raises(AssertionError, match="algebra product"):
+        to_xy(MetAssocElem(CommPoly.term(uv(2, 1), ONE)))
+    for e, xy in zip(elems, xys):
+        assert to_xy(e) == xy
+        assert xy.linear_image(*_xy_inverse(order)) == e
 
 
 def test_unknown_basis_is_rejected():

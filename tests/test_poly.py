@@ -3,8 +3,8 @@ from random import Random
 import pytest
 
 from metabelian.cyclo import CycNum, ambient_order, imag_unit, root_of_unity
-from metabelian.poly import IU, IV, CommPoly, RationalSeries, uv
-from helpers import random_cyc
+from metabelian.poly import IU, IU1, IU2, IV, IV2, VARIABLES, CommPoly, RationalSeries, uv
+from helpers import random_comm_poly, random_cyc, substitute_oracle
 
 
 def _var(name):
@@ -74,6 +74,34 @@ def test_substitute_missing_image():
     u, v = _var("u"), _var("v")
     with pytest.raises(ValueError):
         (u * v).substitute({IU: u})
+    # the term's only unmapped variable sits in its right part (v2), then
+    # in its left part (u1)
+    p = _var("u1") * _var("v2")
+    for missing in (IV2, IU1):
+        images = {slot: u for slot in range(len(VARIABLES)) if slot != missing}
+        with pytest.raises(ValueError, match=repr(VARIABLES[missing])):
+            p.substitute(images)
+
+
+def test_substitute_matches_term_by_term_oracle():
+    # all six slots, order-12 coefficients, images that leave their slot
+    # group (u -> u2 - u1 as in embed_assoc), and terms that share a left
+    # part (u, v, u1, v1) over one or many right parts (u2, v2)
+    rng = Random(5)
+    order = 12
+    left, right = VARIABLES[:IU2], VARIABLES[IU2:]
+    u = _var("u")
+    for k in range(30):
+        p = random_comm_poly(rng, VARIABLES, order, terms=5, coeff=random_cyc)
+        p = p + random_comm_poly(rng, left, order, max_degree=3, terms=3, coeff=random_cyc) * (
+            random_comm_poly(rng, right, order, max_degree=3, terms=1 + k % 3, coeff=random_cyc)
+        )
+        images = {
+            slot: random_comm_poly(rng, VARIABLES, order, max_degree=2, terms=2, coeff=random_cyc)
+            for slot in range(len(VARIABLES))
+        }
+        images[IU] = u.moved(IU2) - u.moved(IU1)
+        assert p.substitute(images) == substitute_oracle(p, images)
 
 
 def test_substitute_is_multiplicative():
