@@ -20,17 +20,23 @@ became integer-only and ``lie_suite`` became the right-module check.
 ``tests/data/canon.json`` holds argv, exit code and stdout of ``canon``
 and ``reynolds`` in both bases, as they were before the x,y rewrite
 became one linear substitution: the README examples, u,v text, x,y
-text, mixed text and two syntax errors.  Any change in an output, its
+text, mixed text and two syntax errors.  ``tests/data/lie_print.json``
+holds ``print_elem`` in both bases, and ``to_xy`` printed, of seeded
+``random_lie`` elements at orders 4 and 12, as they were before the Lie
+element took the two-block layout of the associative one.  Any change in an output, its
 key order or its exit code shows up here, not only a change between two
 runs of the same code.
 """
 
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from metabelian import cli
+from metabelian.expr import print_elem, to_xy
+from helpers import random_cyc, random_gaussian, random_lie
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -94,3 +100,25 @@ CANON = json.loads((DATA / "canon.json").read_text(encoding="utf-8"))
 def test_canon_output_matches_golden(capsys, case):
     assert cli.main(case["argv"]) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+def _lie_print_cases() -> list[dict]:
+    """30 seeded Lie elements over Q(i) at order 4 and 30 with
+    zeta-power coefficients at order 12, each printed three ways."""
+    rng = Random(1818)
+    cases = []
+    for order, coeff in ((4, random_gaussian), (12, random_cyc)):
+        for _ in range(30):
+            e = random_lie(rng, order=order, max_degree=6, coeff=coeff)
+            cases.append({
+                "order": order,
+                "uv": print_elem(e),
+                "xy": print_elem(e, "xy"),
+                "to_xy": print_elem(to_xy(e)),
+            })
+    return cases
+
+
+def test_lie_print_matches_golden():
+    expected = json.loads((DATA / "lie_print.json").read_text(encoding="utf-8"))
+    assert _lie_print_cases() == expected
