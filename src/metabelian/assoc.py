@@ -1,10 +1,12 @@
 """Canonical forms in the rank-2 free metabelian associative algebra.
 
-An element is a pair (poly_part, comm_part).  The poly part collects the
-basis words u^a v^b as a commutative polynomial in u, v.  The comm part
-encodes the commutator ideal: the monomial u1^a v1^b u2^c v2^d stands for
-the basis word u^a v^b [v,u] u^c v^d, with u1, v1 tracking multipliers on
-the left of [v,u] and u2, v2 multipliers on the right.  Both parts are
+An element is the pair (poly_part, comm_part) of ``MetElem``, the
+layout the Lie algebra shares: the free abelian part, and the commutator
+ideal as a module over a commutative polynomial ring.  The poly part
+collects the basis words u^a v^b as a commutative polynomial in u, v.
+In the comm part the monomial u1^a v1^b u2^c v2^d stands for the basis
+word u^a v^b [v,u] u^c v^d, with u1, v1 tracking multipliers on the
+left of [v,u] and u2, v2 multipliers on the right.  Both parts are
 keyed by the six-slot exponent tuples of ``poly``, (a, b, 0, 0, 0, 0)
 and (0, 0, a, b, c, d): the one monomial format of the package, which
 ``_column`` reads as digits for the row columns of ``invariants``.
@@ -29,6 +31,7 @@ from .poly import IU1, IU2, IV1, IV2, ONE, CommPoly, _power, accumulate, uv
 
 __all__ = [
     "MetAssocElem",
+    "MetElem",
     "basis",
     "basis_monomials",
     "commutator",
@@ -105,8 +108,11 @@ def _word_times(col: int, base: int, poly_terms, comm_terms) -> dict[int, int]:
     return out
 
 
-class MetAssocElem:
-    """An element of the rank-2 free metabelian associative algebra."""
+class MetElem:
+    """An element of a rank-2 free metabelian algebra as two blocks: its
+    free abelian part ``poly_part`` and its commutator ideal part
+    ``comm_part``.  The blockwise operations keep the class, and two
+    elements are equal only in the same algebra."""
 
     __slots__ = ("poly_part", "comm_part")
 
@@ -115,8 +121,65 @@ class MetAssocElem:
         self.comm_part = comm_part if comm_part is not None else CommPoly.zero()
 
     @classmethod
-    def zero(cls) -> MetAssocElem:
+    def zero(cls):
         return cls()
+
+    @classmethod
+    def from_poly(cls, p: CommPoly):
+        return cls(p, CommPoly.zero())
+
+    @classmethod
+    def from_comm(cls, h: CommPoly):
+        return cls(CommPoly.zero(), h)
+
+    def is_zero(self) -> bool:
+        return self.poly_part.is_zero() and self.comm_part.is_zero()
+
+    def __add__(self, other):
+        return type(self)(self.poly_part + other.poly_part, self.comm_part + other.comm_part)
+
+    def __neg__(self):
+        return type(self)(-self.poly_part, -self.comm_part)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return type(self)(self.poly_part.scale(c), self.comm_part.scale(c))
+
+    def homogeneous_component(self, d: int):
+        comm = self.comm_part.homogeneous_component(d - 2) if d >= 2 else CommPoly.zero()
+        return type(self)(self.poly_part.homogeneous_component(d), comm)
+
+    def degree(self) -> int:
+        """Total degree, -1 for zero; comm monomials weigh their sum + 2."""
+        dc = self.comm_part.degree()
+        return max(self.poly_part.degree(), dc + 2 if dc >= 0 else -1)
+
+    def homogeneous_degree(self) -> int | None:
+        degs = set(map(sum, self.poly_part.terms))
+        degs |= {sum(m) + 2 for m in self.comm_part.terms}
+        return degs.pop() if len(degs) == 1 else None
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.poly_part == other.poly_part
+            and self.comm_part == other.comm_part
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        from .expr import print_elem
+
+        return print_elem(self)
+
+
+class MetAssocElem(MetElem):
+    """An element of the rank-2 free metabelian associative algebra."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> MetAssocElem:
@@ -127,31 +190,6 @@ class MetAssocElem:
         if name not in ("u", "v"):
             raise ValueError(f"generators are 'u' and 'v', got {name!r}")
         return cls(CommPoly.variable(name))
-
-    @classmethod
-    def from_poly(cls, p: CommPoly) -> MetAssocElem:
-        return cls(p, CommPoly.zero())
-
-    @classmethod
-    def from_comm(cls, h: CommPoly) -> MetAssocElem:
-        return cls(CommPoly.zero(), h)
-
-    def is_zero(self) -> bool:
-        return self.poly_part.is_zero() and self.comm_part.is_zero()
-
-    def __add__(self, other: MetAssocElem) -> MetAssocElem:
-        return MetAssocElem(
-            self.poly_part + other.poly_part, self.comm_part + other.comm_part
-        )
-
-    def __neg__(self) -> MetAssocElem:
-        return MetAssocElem(-self.poly_part, -self.comm_part)
-
-    def __sub__(self, other: MetAssocElem) -> MetAssocElem:
-        return self + (-other)
-
-    def scale(self, c) -> MetAssocElem:
-        return MetAssocElem(self.poly_part.scale(c), self.comm_part.scale(c))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
@@ -214,41 +252,6 @@ class MetAssocElem:
         for p, right in by_u.items():
             out = out + _power(gu_pows, p) * right
         return out
-
-    def homogeneous_component(self, d: int) -> MetAssocElem:
-        if d < 0:
-            return MetAssocElem.zero()
-        comm = (
-            self.comm_part.homogeneous_component(d - 2)
-            if d >= 2
-            else CommPoly.zero()
-        )
-        return MetAssocElem(self.poly_part.homogeneous_component(d), comm)
-
-    def degree(self) -> int:
-        """Total degree, -1 for zero; comm monomials weigh a+b+c+d+2."""
-        dp = self.poly_part.degree()
-        dc = self.comm_part.degree()
-        return max(dp, dc + 2 if dc >= 0 else -1)
-
-    def homogeneous_degree(self) -> int | None:
-        degs = set(map(sum, self.poly_part.terms))
-        degs |= {sum(m) + 2 for m in self.comm_part.terms}
-        return degs.pop() if len(degs) == 1 else None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MetAssocElem)
-            and self.poly_part == other.poly_part
-            and self.comm_part == other.comm_part
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        from .expr import print_elem
-
-        return print_elem(self)
 
 
 def commutator(e1: MetAssocElem, e2: MetAssocElem) -> MetAssocElem:

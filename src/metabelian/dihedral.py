@@ -12,15 +12,18 @@ rationals combine with coefficients of any order.  Reflections act as
 algebra automorphisms, so their effect on a basis word u^a v^b is the
 canonical form of the swapped word, which picks up commutator
 corrections; the commutator coordinates themselves transform without
-corrections.
+corrections.  A Lie element has the same two blocks (``assoc.MetElem``),
+with no words to straighten: tau acts on both as on polynomials and
+negates the commutator block.
 
 Rotations are diagonal on basis monomials: rho scales a monomial of
 rotation weight w by xi^w.  Since sum_k xi^(kw) = n [w = 0 mod n], the
 n rotations average to the projection P0 onto the weight-0 terms, and
 tau rho^k (rotation first, then the swap) averages to tau P0.  The
 Reynolds operators are therefore computed exactly, over any coefficient
-field, as (P0 + tau P0) / 2: one reflection instead of 2n group actions,
-and no root of unity.
+field, as (P0 + tau P0) / 2, with P0 taken on both blocks of either
+algebra: one reflection instead of 2n group actions, and no root of
+unity.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .assoc import MetAssocElem
+from .assoc import MetAssocElem, MetElem
 from .cyclo import CycNum, ambient_order, root_of_unity
 from .lie import MetLieElem
 from .poly import ONE, CommPoly, accumulate, uv
@@ -134,6 +137,11 @@ def _rotated(g: DihedralElement, p: CommPoly) -> CommPoly:
     })
 
 
+def _swapped(p: CommPoly) -> CommPoly:
+    """tau on the monomials of p, with no sign and no straightening."""
+    return CommPoly._make({swap(m): c for m, c in p.terms.items()})
+
+
 def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
     """Algebra automorphism action on a canonical element.
 
@@ -161,14 +169,11 @@ def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
 
 
 def act_lie(g: DihedralElement, e: MetLieElem) -> MetLieElem:
-    lin_u, lin_v = e.lin_u, e.lin_v
-    if g.rot:
-        lin_u = lin_u * rotation_scalar(g.n, g.rot)
-        lin_v = lin_v * rotation_scalar(g.n, -g.rot)
-    comm = _rotated(g, e.comm)
+    """``act_uv`` on both blocks, and tau negates the commutator block."""
+    poly, comm = _rotated(g, e.poly_part), _rotated(g, e.comm_part)
     if not g.flip:
-        return MetLieElem(lin_u, lin_v, comm)
-    return MetLieElem(lin_v, lin_u, CommPoly._make({swap(m): -c for m, c in comm.terms.items()}))
+        return MetLieElem(poly, comm)
+    return MetLieElem(_swapped(poly), -_swapped(comm))
 
 
 def act_uv(g: DihedralElement, p: CommPoly) -> CommPoly:
@@ -176,9 +181,7 @@ def act_uv(g: DihedralElement, p: CommPoly) -> CommPoly:
     and the swap: on the ring in u, v, and as ``act_tensor`` the
     diagonal action (no sign twist) on the ring in u1, v1, u2, v2."""
     p = _rotated(g, p)
-    if not g.flip:
-        return p
-    return CommPoly._make({swap(m): c for m, c in p.terms.items()})
+    return _swapped(p) if g.flip else p
 
 
 act_tensor = act_uv
@@ -189,6 +192,11 @@ def _weight_zero(p: CommPoly, n: int) -> CommPoly:
     return CommPoly._make(
         {m: c for m, c in p.terms.items() if not rotation_weight(m) % n}
     )
+
+
+def _weight_zero_blocks(e: MetElem, n: int) -> MetElem:
+    """P0 on both blocks of an algebra element."""
+    return type(e)(_weight_zero(e.poly_part, n), _weight_zero(e.comm_part, n))
 
 
 def _symmetrize(n: int, p0, act):
@@ -202,14 +210,12 @@ def _symmetrize(n: int, p0, act):
 def reynolds_assoc(n: int, e: MetAssocElem) -> MetAssocElem:
     """Group average, computed as (P0 + tau P0) / 2; a projection onto
     the invariants."""
-    p0 = MetAssocElem(_weight_zero(e.poly_part, n), _weight_zero(e.comm_part, n))
-    return _symmetrize(n, p0, act_assoc)
+    return _symmetrize(n, _weight_zero_blocks(e, n), act_assoc)
 
 
 def reynolds_lie(n: int, e: MetLieElem) -> MetLieElem:
-    # u and v weigh +1 and -1, never 0 mod n >= 3: the linear part drops
-    p0 = MetLieElem.from_comm(_weight_zero(e.comm, n))
-    return _symmetrize(n, p0, act_lie)
+    # as reynolds_assoc; u and v weigh +1 and -1, so P0 drops the linear part
+    return _symmetrize(n, _weight_zero_blocks(e, n), act_lie)
 
 
 def reynolds_uv(n: int, p: CommPoly) -> CommPoly:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .assoc import MetAssocElem
+from .assoc import MetAssocElem, MetElem
 from .cyclo import CycNum, _fraction_text, _powers, _signed_part, _signed_sum, imag_unit
 from .lie import MetLieElem
 from .poly import IU, IU1, IU2, ONE
@@ -324,17 +324,14 @@ def _xy_letters() -> tuple[MetAssocElem, MetAssocElem]:
     return tuple(MetAssocElem.letter(name).linear_image(*_xy_inverse(4)) for name in "uv")
 
 
-def _field_order(e: MetAssocElem | MetLieElem) -> int:
+def _field_order(e: MetElem) -> int:
     """The order of the first non-rational coefficient, 4 when every
     coefficient is rational."""
-    if isinstance(e, MetLieElem):
-        coeffs = chain((e.lin_u, e.lin_v), e.comm.terms.values())
-    else:
-        coeffs = chain(e.poly_part.terms.values(), e.comm_part.terms.values())
+    coeffs = chain(e.poly_part.terms.values(), e.comm_part.terms.values())
     return next((c.order for c in coeffs if not c.is_rational()), 4)
 
 
-def to_xy(e: MetAssocElem | MetLieElem) -> MetAssocElem | MetLieElem:
+def to_xy(e: MetElem) -> MetElem:
     """Rewrite an element over the generators x, y.
 
     The result is a canonical element of the same algebra whose u, v
@@ -458,34 +455,31 @@ def _term(c: CycNum, mono: str) -> tuple[bool, str]:
     return neg, body
 
 
-def _print_assoc(e: MetAssocElem, letters: tuple[str, str], bracket: str) -> str:
-    poly = (
-        _term(c, "*".join(_powers(letters, m[IU:IU1])))
-        for m, c in e.poly_part.sorted_terms()
-    )
-    comm = (
-        _term(c, "*".join([*_powers(letters, m[IU1:IU2]), bracket, *_powers(letters, m[IU2:])]))
-        for m, c in e.comm_part.sorted_terms()
-    )
-    return _signed_sum(chain(poly, comm))
+def _assoc_word(letters: tuple[str, str], bracket: str, m: tuple[int, ...]) -> str:
+    """u^a v^b [v,u] u^c v^d for the commutator monomial u1^a v1^b u2^c v2^d."""
+    return "*".join([*_powers(letters, m[IU1:IU2]), bracket, *_powers(letters, m[IU2:])])
 
 
-def _print_lie(e: MetLieElem, letters: tuple[str, str], bracket: str) -> str:
-    ads = [f"ad({name})" for name in letters]
-    lin = (_term(c, name) for c, name in zip((e.lin_u, e.lin_v), letters) if c)
-    comm = (
-        _term(c, " ".join([bracket, *_powers(ads, m[IU:IU1])]))
-        for m, c in e.comm.sorted_terms()
-    )
-    return _signed_sum(chain(lin, comm))
+def _lie_word(letters: tuple[str, str], bracket: str, m: tuple[int, ...]) -> str:
+    """[v,u] ad(u)^a ad(v)^b for the commutator monomial u^a v^b."""
+    return " ".join([bracket, *_powers([f"ad({name})" for name in letters], m[IU:IU1])])
+
+
+# how each algebra writes a monomial of its commutator block
+_COMM_WORDS = {MetAssocElem: _assoc_word, MetLieElem: _lie_word}
 
 
 def print_elem(e, basis: str = "uv", written: str = "uv") -> str:
     """Deterministic canonical rendering over the generators of ``basis``
     of an element written over those of ``written``."""
-    if not isinstance(e, (MetAssocElem, MetLieElem)):
+    comm_word = _COMM_WORDS.get(type(e))
+    if comm_word is None:
         raise TypeError(f"cannot print {type(e).__name__}")
     e = _rewrite(e, written, basis)
     letters, bracket = (("u", "v"), "[v,u]") if basis == "uv" else (("x", "y"), "[y,x]")
-    render = _print_lie if isinstance(e, MetLieElem) else _print_assoc
-    return render(e, letters, bracket)
+    poly = (
+        _term(c, "*".join(_powers(letters, m[IU:IU1])))
+        for m, c in e.poly_part.sorted_terms()
+    )
+    comm = (_term(c, comm_word(letters, bracket, m)) for m, c in e.comm_part.sorted_terms())
+    return _signed_sum(chain(poly, comm))

@@ -128,7 +128,7 @@ def random_lie(
     terms: int = 3,
     coeff=random_gaussian,
 ) -> MetLieElem:
-    e = MetLieElem(coeff(rng, order), coeff(rng, order))
+    e = MetLieElem(CommPoly.linear(coeff(rng, order), coeff(rng, order)))
     inner = max(0, max_degree - 2)
     for _ in range(terms):
         a = rng.randint(0, inner)

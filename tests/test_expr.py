@@ -118,8 +118,7 @@ def test_print_lie():
     )
     i = imag_unit(4)
     e = MetLieElem(
-        CycNum.from_rational(4, Fraction(-3, 2)),
-        i * -2 + Fraction(1, 2),
+        CommPoly.linear(CycNum.from_rational(4, Fraction(-3, 2)), i * -2 + Fraction(1, 2)),
         CommPoly({uv(0, 0): -i, uv(1, 2): i + Fraction(2, 3), uv(3, 0): i * 5}),
     )
     assert print_elem(e) == (

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import group_average
 from metabelian import invariants
-from metabelian.assoc import MetAssocElem, from_word
+from metabelian.assoc import MetAssocElem, MetElem, from_word
 from metabelian.assoc import basis as assoc_basis
 from metabelian.cyclo import CycNum, ambient_order, imag_unit
 from metabelian.dihedral import (
@@ -51,11 +51,8 @@ def test_invariant_basis_assoc_examples():
 def _row(e) -> dict:
     """Coordinates keyed by (block, exponent tuple), independent of the
     library's own column numbering."""
-    if isinstance(e, MetAssocElem):
+    if isinstance(e, MetElem):
         parts = (e.poly_part.terms, e.comm_part.terms)
-    elif isinstance(e, MetLieElem):
-        linear = {uv(1, 0): e.lin_u, uv(0, 1): e.lin_v}
-        parts = (linear, e.comm.terms)
     else:
         parts = (e.terms,)
     return {
@@ -96,7 +93,7 @@ def test_invariant_basis_lie_examples():
     one = CycNum.one(ambient_order(3))
     # the normalized basis vector is exactly [v,u](ad^3(u) - ad^3(v))
     gen = CommPoly({uv(3, 0): one, uv(0, 3): -one})
-    assert basis5[0].comm == gen
+    assert basis5[0].comm_part == gen
     assert invariant_basis_lie(3, 6) == []
     assert len(invariant_basis_lie(3, d=7)) == 1
 

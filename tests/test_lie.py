@@ -31,8 +31,8 @@ def test_bracket_examples():
 def test_bracket_linear_coefficient():
     # [a u + b v, c u + d v] = (bc - ad) [v,u]
     a, b, c, d = (CycNum.from_rational(4, q) for q in (2, 3, 5, 7))
-    e1 = MetLieElem(a, b)
-    e2 = MetLieElem(c, d)
+    e1 = MetLieElem(CommPoly.linear(a, b))
+    e2 = MetLieElem(CommPoly.linear(c, d))
     expected = MetLieElem.from_comm(CommPoly.constant(b * c - a * d))
     assert bracket(e1, e2) == expected
 
@@ -49,6 +49,29 @@ def test_module_action_examples():
 def test_module_action_requires_commutator_part():
     with pytest.raises(ValueError):
         _u().module_action(CommPoly.constant(CycNum.one(4)))
+
+
+def test_same_blocks_in_two_algebras_compare_unequal():
+    p, h = CommPoly.variable("u"), CommPoly.constant(CycNum.one(4))
+    assert MetLieElem(p, h) != MetAssocElem(p, h)
+    assert MetAssocElem(p, h) != MetLieElem(p, h)
+    assert MetLieElem(p, h) == MetLieElem(p, h)
+    assert MetLieElem.zero() != MetAssocElem.zero()
+
+
+def test_elements_have_no_instance_dict():
+    for cls in (MetAssocElem, MetLieElem):
+        assert vars(cls)["__slots__"] == ()
+        assert not hasattr(cls.zero(), "__dict__")
+
+
+def test_lie_arithmetic_is_reachable_by_name():
+    # tools that wrap these by name on the class find each of them there
+    for attr in ("__add__", "__sub__", "__neg__", "scale", "bracket", "module_action"):
+        assert callable(getattr(MetLieElem, attr))
+    e = _u() + _comm(1, 0)
+    assert (e - e).is_zero() and -e == e.scale(-1)
+    assert type(e - e) is type(-e) is type(e.scale(2)) is MetLieElem
 
 
 def test_embed_examples():

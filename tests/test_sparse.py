@@ -21,8 +21,9 @@ from metabelian.dihedral import (
     reynolds_uv,
 )
 from metabelian.expr import to_xy
+from metabelian.lie import MetLieElem, bracket
 from metabelian.linalg import RowEchelon
-from metabelian.poly import CommPoly
+from metabelian.poly import ONE, ZERO, CommPoly
 from helpers import random_assoc, random_comm_poly, random_cyc, random_lie
 
 
@@ -39,9 +40,7 @@ def _clean(x) -> bool:
         return all(
             _is_monomial(m) and not c.is_zero() for m, c in x.terms.items()
         )
-    if isinstance(x, MetAssocElem):
-        return _clean(x.poly_part) and _clean(x.comm_part)
-    return _clean(x.comm)
+    return _clean(x.poly_part) and _clean(x.comm_part)
 
 
 def test_polynomial_arithmetic_stores_no_zeros():
@@ -62,6 +61,20 @@ def test_algebra_products_store_no_zeros():
             assert _clean(r)
         assert _clean(to_xy(e * x - x * e))
         assert _clean(to_xy(e - e + x))
+
+
+def test_lie_arithmetic_stores_no_zeros():
+    rng = Random(45)
+    singular = (ONE, -ONE, ZERO, ZERO)  # u -> u and v -> -u, det 0
+    for _ in range(30):
+        e, f = (random_lie(rng, order=12, coeff=random_cyc) for _ in range(2))
+        c = random_cyc(rng, 12, nonzero=True)
+        # equal u and v coefficients: the singular image cancels the linear part
+        diag = MetLieElem(CommPoly.linear(c, c), e.comm_part)
+        assert diag.linear_image(*singular).is_zero()
+        for r in (e - e + f, e.linear_image(*singular), bracket(e, f) + bracket(f, e) + e):
+            assert _clean(r)
+        assert (e - e + f).poly_part == f.poly_part
 
 
 def test_group_action_and_reynolds_store_no_zeros():
