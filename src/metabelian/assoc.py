@@ -14,9 +14,11 @@ This works because left factors of a commutator commute with each
 other, right factors commute with each other, and any product of two
 commutator terms vanishes.
 
-Multiplication uses a closed form for the cross term that appears when
-the u-letters of the right factor move through the v-letters of the left
-factor.  ``from_word`` straightens a word letter by letter using only
+Multiplication is one pass over pairs of terms: words shift commutator
+terms on either side, and u^a v^b * u^c v^d adds to u^(a+c) v^(b+d) the
+cross monomials u1^(a+i) v1^j u2^(c-1-i) v2^(b-1-j+d), i < c, j < b, of
+the u-letters of the right word moving through the v-letters of the left
+one.  ``from_word`` straightens a word letter by letter using only
 the rewrite vu = uv + [v,u]; it is deliberately independent of the
 closed form so that the two can be checked against each other.
 """
@@ -44,23 +46,6 @@ def _comm_monomial(a: int, b: int, c: int, d: int) -> tuple[int, ...]:
     return (0, 0, a, b, c, d)
 
 
-def _cross_term(p1: CommPoly, p2: CommPoly) -> CommPoly:
-    """Commutator terms of (sum of u^a v^b) * (sum of u^c v^d)."""
-    out: dict[tuple[int, ...], CycNum] = {}
-    for (a, b, *_), c1 in p1.terms.items():
-        if b == 0:
-            continue
-        for (c, d, *_), c2 in p2.terms.items():
-            if c == 0:
-                continue
-            coeff = c1 * c2
-            for i in range(c):
-                for j in range(b):
-                    mono = _comm_monomial(a + i, j, c - 1 - i, b - 1 - j + d)
-                    accumulate(out, mono, coeff)
-    return CommPoly._make(out)
-
-
 def _column(mono: tuple[int, ...], in_comm: bool, base: int) -> int:
     """The row column of a basis word: its exponents read as digits in
     ``base``, which must exceed each of them, negated so that the larger
@@ -84,7 +69,7 @@ def _word_times(col: int, base: int, poly_terms, comm_terms) -> dict[int, int]:
     and ``comm_terms`` are the (exponents, int) pairs of the right
     factor's two parts; the image is keyed by ``_column`` too.  The
     rules of ``__mul__``: u^a v^b times u^c v^d is u^(a+c) v^(b+d) plus
-    the cross monomials of ``_cross_term``, a word times a commutator
+    the cross monomials of the module docstring, a word times a commutator
     term shifts it on the left, a commutator term times a word shifts
     it on the right, and two commutator terms multiply to 0.  Exponents
     add as digits, so only the cross terms of a u^a v^b word read its a
@@ -196,14 +181,23 @@ class MetAssocElem(MetElem):
             return self.scale(other)
         if not isinstance(other, MetAssocElem):
             return NotImplemented
-        p1, h1 = self.poly_part, self.comm_part
-        p2, h2 = other.poly_part, other.comm_part
-        comm = (
-            p1.moved(IU1) * h2
-            + h1 * p2.moved(IU2)
-            + _cross_term(p1, p2)
-        )
-        return MetAssocElem(p1 * p2, comm)
+        comm: dict[tuple[int, ...], CycNum] = {}
+        right_words = other.poly_part.terms.items()
+        for (a, b, *_), x in self.poly_part.terms.items():
+            for (_, _, a1, b1, c1, d1), y in other.comm_part.terms.items():
+                accumulate(comm, (0, 0, a + a1, b + b1, c1, d1), x * y)
+            if not b:
+                continue
+            for (c, d, *_), y in right_words:
+                if c:
+                    xy = x * y
+                    for i in range(c):
+                        for j in range(b):
+                            accumulate(comm, (0, 0, a + i, j, c - 1 - i, b - 1 - j + d), xy)
+        for (_, _, a1, b1, c1, d1), x in self.comm_part.terms.items():
+            for (c, d, *_), y in right_words:
+                accumulate(comm, (0, 0, a1, b1, c1 + c, d1 + d), x * y)
+        return MetAssocElem(self.poly_part * other.poly_part, CommPoly._make(comm))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):

@@ -231,12 +231,17 @@ class CycNum:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return CycNum._make(order, {})
-        if len(a) == 1 and 0 in a:
-            q = a[0]
-            return CycNum._make(order, {e: c * q for e, c in b.items()})
-        if len(b) == 1 and 0 in b:
-            q = b[0]
-            return CycNum._make(order, {e: c * q for e, c in a.items()})
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a one-term factor q*zeta^k shifts a by k and scales it by q
+            ((k, q),) = b.items()
+            if not k and q == 1:
+                return CycNum._make(order, a)
+            a = {e + k: c * q for e, c in a.items()}
+            if not k or max(a) < euler_phi(order):
+                return CycNum._make(order, a)
+            b = {0: _F1}  # only the reduction of the shifted a is left
         deg = euler_phi(order)
         dense = [_F0] * (2 * deg - 1)
         for e1, c1 in a.items():

@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from metabelian.assoc import MetAssocElem
-from metabelian.cyclo import CycNum, imag_unit
+from metabelian.assoc import MetAssocElem, from_word
+from metabelian.cyclo import CycNum, cyclotomic_polynomial, imag_unit
 from metabelian.dihedral import group_elements
 from metabelian.expr import _evaluate
 from metabelian.lie import MetLieElem
@@ -83,6 +83,51 @@ def linear_image_oracle(e: MetAssocElem, a, b, c, d) -> MetAssocElem:
             pv.append(pv[-1] * gv)
         out = out + (pu[p] * pv[q]).scale(coeff)
     return out
+
+
+def _signed_words(mono: tuple[int, ...], in_comm: bool) -> list[tuple[int, str]]:
+    """A basis word as signed letter words: u^a v^b itself, and
+    u^a v^b [v,u] u^c v^d as the word with vu in place of [v,u] minus
+    the word with uv there."""
+    if not in_comm:
+        return [(1, "u" * mono[IU] + "v" * mono[IV])]
+    left, right = "u" * mono[IU1] + "v" * mono[IV1], "u" * mono[IU2] + "v" * mono[IV2]
+    return [(1, left + "vu" + right), (-1, left + "uv" + right)]
+
+
+def _signed_terms(e: MetAssocElem):
+    for block, in_comm in ((e.poly_part, False), (e.comm_part, True)):
+        for mono, coeff in block.terms.items():
+            for sign, word in _signed_words(mono, in_comm):
+                yield coeff * sign, word
+
+
+def mul_oracle(e1: MetAssocElem, e2: MetAssocElem) -> MetAssocElem:
+    """``e1 * e2`` term by term, the reference for the one-pass product:
+    each pair of signed letter words is joined and straightened by
+    ``from_word``, which rewrites vu = uv + [v,u] one letter at a time."""
+    out = MetAssocElem.zero()
+    for c1, w1 in _signed_terms(e1):
+        for c2, w2 in _signed_terms(e2):
+            out = out + from_word(w1 + w2).scale(c1 * c2)
+    return out
+
+
+def cyc_mul_oracle(x: CycNum, y: CycNum) -> CycNum:
+    """``x * y`` for two values of one order by the dense double loop,
+    then long division by the cyclotomic polynomial."""
+    order = x.order
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    dense = [Fraction(0)] * (2 * deg)
+    for e1, c1 in x.coeffs.items():
+        for e2, c2 in y.coeffs.items():
+            dense[e1 + e2] += c1 * c2
+    for e in range(len(dense) - 1, deg - 1, -1):
+        c = dense[e]
+        for j, pj in enumerate(phi):
+            dense[e - deg + j] -= c * pj
+    return CycNum(order, {e: c for e, c in enumerate(dense[:deg]) if c})
 
 
 def eval_with_leaves(node) -> MetAssocElem:

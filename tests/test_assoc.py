@@ -17,12 +17,14 @@ from metabelian.assoc import (
 from metabelian.cyclo import CycNum
 from metabelian.invariants import invariant_generators_assoc
 from metabelian.linalg import _integer_row
-from metabelian.poly import CommPoly
+from metabelian.poly import CommPoly, uv
 from helpers import (
     inverse_matrix,
     linear_image_oracle,
+    mul_oracle,
     random_assoc,
     random_cyc,
+    random_gaussian,
     random_matrix,
     random_word,
 )
@@ -112,6 +114,32 @@ def test_word_oracle_exhaustive():
                 for w2 in itertools.product("uv", repeat=total - l1):
                     a, b = "".join(w1), "".join(w2)
                     assert from_word(a) * from_word(b) == from_word(a + b)
+
+
+def _both_blocks(rng, order, coeff, edge):
+    """A random element of degree <= 7 with both blocks nonzero, plus a
+    constant and the word ``edge`` (a, b) as u^a v^b."""
+    while True:
+        e = random_assoc(rng, order, max_degree=7, terms=5, coeff=coeff)
+        for mono in (uv(0, 0), uv(*edge)):
+            e = e + MetAssocElem(CommPoly.term(mono, coeff(rng, order, nonzero=True)))
+        if not (e.poly_part.is_zero() or e.comm_part.is_zero()):
+            return e
+
+
+@pytest.mark.parametrize("order, coeff", [(4, random_gaussian), (12, random_cyc)])
+def test_mul_matches_word_oracle(order, coeff):
+    # multi-term factors with both blocks, checked against letter-by-letter
+    # straightening; the left factor has a word with no v and the right one
+    # a word with no u, where the cross term is empty
+    rng = Random(29 + order)
+    for _ in range(24):
+        left = _both_blocks(rng, order, coeff, (rng.randint(1, 7), 0))
+        right = _both_blocks(rng, order, coeff, (0, rng.randint(1, 7)))
+        assert left * right == mul_oracle(left, right)
+        const = MetAssocElem.one().scale(coeff(rng, order, nonzero=True))
+        assert const * right == mul_oracle(const, right)
+        assert left * const == mul_oracle(left, const)
 
 
 def test_associativity_randomized():

@@ -11,7 +11,8 @@ from metabelian.cyclo import (
     imag_unit,
     root_of_unity,
 )
-from helpers import random_cyc
+from metabelian.poly import ONE
+from helpers import cyc_mul_oracle, random_cyc
 
 
 def test_euler_phi():
@@ -136,6 +137,37 @@ def test_rationals_combine_with_every_order(m):
                 assert got.coeffs == want.coeffs
                 if not x.is_rational():
                     assert got.order == m
+
+
+@pytest.mark.parametrize("m", (1, 4, 12))
+def test_unit_factor_gives_the_other_factor(m):
+    # a product by 1 may share the other factor's coefficient map, so no
+    # later arithmetic on the result may change either operand
+    rng = Random(600 + m)
+    for _ in range(12):
+        x, y = random_cyc(rng, m), random_cyc(rng, m)
+        before = dict(x.coeffs)
+        for r in (x * ONE, ONE * x, x * 1, x * Fraction(1), x * CycNum.one(m)):
+            assert r == x and r.coeffs == before
+            # two rationals take the left operand's order
+            assert r.order == m or x.is_rational()
+            r = r + y
+            r = r * y + r * r
+        assert x.coeffs == before and x.order == m
+        assert ONE.coeffs == {0: 1} and ONE.order == 1
+
+
+def test_one_term_factor_shifts_and_reduces():
+    # q*zeta^k is one term for k = 1, 2, 3 and 6..9, and for k = 1..3 and
+    # 7..9 it shifts exponents past phi(12) = 4; the other k are sums
+    rng = Random(612)
+    for k in range(1, 12):
+        for a in (root_of_unity(12, k), CycNum(12, {k: Fraction(3, 5)})):
+            for _ in range(8):
+                y = random_cyc(rng, 12)
+                want = cyc_mul_oracle(a, y)
+                for got in (a * y, y * a):
+                    assert got.order == 12 and got.coeffs == want.coeffs
 
 
 def test_gaussian_detection():

@@ -63,6 +63,23 @@ def test_algebra_products_store_no_zeros():
         assert _clean(to_xy(e - e + x))
 
 
+def test_cancelling_commutator_contributions_store_no_zeros():
+    # in (u + c*u[v,u]) * (1 - c*[v,u]) the left shift of -c*[v,u] by u
+    # cancels the right shift of c*u[v,u] by 1, and in
+    # c*(v - [v,u]) * (u + 1) the cross term c*[v,u] of c*vu cancels the
+    # right shift of -c*[v,u] by 1
+    rng = Random(44)
+    u, v, one = MetAssocElem.letter("u"), MetAssocElem.letter("v"), MetAssocElem.one()
+    bracket = MetAssocElem.from_comm(CommPoly.constant(ONE))
+    for _ in range(10):
+        c = random_cyc(rng, 12, nonzero=True)
+        r = (u + (u * bracket).scale(c)) * (one - bracket.scale(c))
+        assert r == u and _clean(r)
+        r = (v - bracket).scale(c) * (u + one)
+        assert r.comm_part == (bracket * u).comm_part.scale(-c) and _clean(r)
+        assert (0, 0, 0, 0, 0, 0) not in r.comm_part.terms
+
+
 def test_lie_arithmetic_stores_no_zeros():
     rng = Random(45)
     singular = (ONE, -ONE, ZERO, ZERO)  # u -> u and v -> -u, det 0
