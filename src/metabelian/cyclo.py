@@ -236,17 +236,17 @@ class CycNum:
         if len(b) == 1:
             # a one-term factor q*zeta^k shifts a by k and scales it by q
             ((k, q),) = b.items()
-            if not k and q == 1:
-                return CycNum._make(order, a)
+            if not k:
+                return CycNum._make(order, a if q == 1 else {e: c * q for e, c in a.items()})
             a = {e + k: c * q for e, c in a.items()}
-            if not k or max(a) < euler_phi(order):
+            if max(a) < euler_phi(order):
                 return CycNum._make(order, a)
-            b = {0: _F1}  # only the reduction of the shifted a is left
-        deg = euler_phi(order)
-        dense = [_F0] * (2 * deg - 1)
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                dense[e1 + e2] += c1 * c2
+            dense = [a.get(e, _F0) for e in range(2 * euler_phi(order) - 1)]
+        else:
+            dense = [_F0] * (2 * euler_phi(order) - 1)
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    dense[e1 + e2] += c1 * c2
         return CycNum._make(order, _reduce_dense(order, dense))
 
     __rmul__ = __mul__
