@@ -158,8 +158,9 @@ def test_unit_factor_gives_the_other_factor(m):
 
 
 def test_one_term_factor_shifts_and_reduces():
-    # q*zeta^k is one term for k = 1, 2, 3 and 6..9, and for k = 1..3 and
-    # 7..9 it shifts exponents past phi(12) = 4; the other k are sums
+    # q*zeta^k reduces to one term for k = 1..3 and 6..9 (to the rational
+    # -q at k = 6), a shift by 1..3 that carries exponents of y past
+    # phi(12) = 4; for the other k it is a sum
     rng = Random(612)
     for k in range(1, 12):
         for a in (root_of_unity(12, k), CycNum(12, {k: Fraction(3, 5)})):
