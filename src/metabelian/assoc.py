@@ -28,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CycNum
-from .poly import IU1, IU2, IV1, IV2, ONE, CommPoly, _power, accumulate, uv
+from .cyclo import CycNum, accumulate
+from .poly import IU1, IU2, IV1, IV2, ONE, CommPoly, _power, uv
 
 __all__ = [
     "MetAssocElem",

@@ -4,7 +4,10 @@ A value is the canonical residue modulo the m-th cyclotomic polynomial,
 stored sparsely as {exponent: rational} with all exponents below phi(m)
 and no zero entries.  Two values of one order are equal exactly when
 their maps are equal, so equality is decidable, and every operation is
-exact: there is no floating point anywhere in this module.
+exact: there is no floating point anywhere in this module.  Exponents
+are ints and coefficients ints or ``Fraction``s, as in arithmetic.
+Construction and products end in one sparse reduction, ``_reduce``, and
+every sparse sum of the package adds its terms through ``accumulate``.
 
 Rationals belong to every field.  A rational value of any order, order 1
 included, combines with a value of another order, and the result takes
@@ -24,6 +27,7 @@ from math import gcd, lcm
 __all__ = [
     "CycNum",
     "DigitLimitError",
+    "accumulate",
     "ambient_order",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -91,19 +95,30 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_dense(order: int, dense: list[Fraction]) -> dict[int, Fraction]:
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value, with no zero coefficient left stored; any
+    scalar that is false at zero (``CycNum``, ``Fraction``, int) will do."""
+    prev = out.get(key)
+    if prev is not None:
+        value = prev + value
+    if not value:
+        out.pop(key, None)
+    else:
+        out[key] = value
+
+
+def _reduce(order: int, terms: dict[int, Fraction]) -> dict[int, Fraction]:
+    """``terms`` reduced in place modulo Phi_m: from the top exponent down
+    to phi(m), each term is cleared by subtracting its multiple of Phi_m."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    for e in range(len(dense) - 1, deg - 1, -1):
-        c = dense[e]
-        if c:
-            dense[e] = _F0
-            base = e - deg
+    for e in range(max(terms, default=0), deg - 1, -1):
+        c = terms.pop(e, None)
+        if c is not None:
             for j in range(deg):
-                pj = phi[j]
-                if pj:
-                    dense[base + j] -= c * pj
-    return {e: c for e, c in enumerate(dense[:deg]) if c}
+                if phi[j]:
+                    accumulate(terms, e - deg + j, -c * phi[j])
+    return terms
 
 
 class CycNum:
@@ -114,25 +129,13 @@ class CycNum:
     def __init__(self, order: int, coeffs: dict[int, Fraction] | None = None):
         if order < 1:
             raise ValueError("cyclotomic order must be a positive integer")
-        deg = euler_phi(order)
-        items: list[tuple[int, Fraction]] = []
-        in_range = True
+        terms: dict[int, Fraction] = {}
         for e, c in (coeffs or {}).items():
-            q = c if isinstance(c, Fraction) else Fraction(c)
-            if not q:
-                continue
-            e = int(e)
-            if not 0 <= e < deg:
-                in_range = False
-            items.append((e, q))
+            if not isinstance(e, int) or not isinstance(c, (int, Fraction)):
+                raise TypeError("a CycNum takes int exponents and int or Fraction coefficients")
+            accumulate(terms, e % order, c if isinstance(c, Fraction) else Fraction(c))
         self.order = order
-        if in_range:
-            self.coeffs = dict(items)
-        else:
-            dense = [_F0] * order
-            for e, q in items:
-                dense[e % order] += q
-            self.coeffs = _reduce_dense(order, dense)
+        self.coeffs = _reduce(order, terms)
 
     @classmethod
     def _make(cls, order: int, coeffs: dict[int, Fraction]) -> CycNum:
@@ -151,7 +154,7 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, order: int, value) -> CycNum:
-        return cls(order, {0: Fraction(value)})
+        return cls(order, {0: value})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -193,11 +196,7 @@ class CycNum:
             order = self._common_order(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, _F0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            accumulate(out, e, c)
         return CycNum._make(order, out)
 
     __radd__ = __add__
@@ -229,25 +228,16 @@ class CycNum:
         if other.order != order:
             order = self._common_order(other)
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return CycNum._make(order, {})
-        if len(a) == 1:
+        if len(a) == 1 and a.get(0) == 1:
             a, b = b, a
-        if len(b) == 1:
-            # a one-term factor q*zeta^k shifts a by k and scales it by q
-            ((k, q),) = b.items()
-            if not k:
-                return CycNum._make(order, a if q == 1 else {e: c * q for e, c in a.items()})
-            a = {e + k: c * q for e, c in a.items()}
-            if max(a) < euler_phi(order):
-                return CycNum._make(order, a)
-            dense = [a.get(e, _F0) for e in range(2 * euler_phi(order) - 1)]
-        else:
-            dense = [_F0] * (2 * euler_phi(order) - 1)
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    dense[e1 + e2] += c1 * c2
-        return CycNum._make(order, _reduce_dense(order, dense))
+        if len(b) == 1 and b.get(0) == 1:
+            # the factor 1 shares the other's map: no CycNum changes in place
+            return CycNum._make(order, a)
+        out: dict[int, Fraction] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                accumulate(out, e1 + e2, c1 * c2)
+        return CycNum._make(order, _reduce(order, out))
 
     __rmul__ = __mul__
 
@@ -279,8 +269,7 @@ class CycNum:
         conj = CycNum.one(m)
         for k in range(2, m):
             if gcd(k, m) == 1:
-                sigma = CycNum(m, {k * e % m: c for e, c in self.coeffs.items()})
-                conj = conj * sigma
+                conj = conj * CycNum(m, {k * e: c for e, c in self.coeffs.items()})
         return conj * (1 / (self * conj).rational_value())
 
     def __truediv__(self, other):
@@ -297,12 +286,7 @@ class CycNum:
 
     def conj(self) -> CycNum:
         """Complex conjugation, zeta_m maps to zeta_m^(m-1)."""
-        if not self.coeffs:
-            return self
-        return CycNum(
-            self.order,
-            {(self.order - e) % self.order: c for e, c in self.coeffs.items()},
-        )
+        return CycNum(self.order, {-e: c for e, c in self.coeffs.items()})
 
     def as_gaussian(self) -> tuple[Fraction, Fraction] | None:
         """Write the value as a + b*i with rational a, b, or None."""
@@ -405,9 +389,7 @@ def _powers(names, exponents) -> list[str]:
 
 def root_of_unity(m: int, k: int) -> CycNum:
     """The canonical representative of zeta_m^k."""
-    if m < 1:
-        raise ValueError("cyclotomic order must be a positive integer")
-    return CycNum(m, {k % m: _F1})
+    return CycNum(m, {k: _F1})
 
 
 @lru_cache(maxsize=None)

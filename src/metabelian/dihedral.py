@@ -33,9 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .assoc import MetAssocElem, MetElem
-from .cyclo import CycNum, ambient_order, root_of_unity
+from .cyclo import CycNum, accumulate, ambient_order, root_of_unity
 from .lie import MetLieElem
-from .poly import ONE, CommPoly, accumulate, uv
+from .poly import ONE, CommPoly, uv
 
 __all__ = [
     "DihedralElement",

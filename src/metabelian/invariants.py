@@ -3,18 +3,18 @@
 Three independent quantities are compared at every degree: the
 dimension of the invariants (the defining oracle), the coefficient of a
 closed-form Hilbert series, and the rank actually reached by products of
-a candidate generating set.  The associative invariant dimension is a
-character count, (W + R) / 2, with no linear algebra.  The invariants
-also come with an explicit basis, the Reynolds images of one weight-0
-monomial per tau-orbit, which is independent by construction; the Lie
-check counts it, and the tests check the character count against it.
-The generated ranks come from exact row reduction: for the subalgebra
-on integer rows whose columns are the basis words' own exponents read
-as digits (``assoc._column``), so no basis is enumerated or indexed,
-and for the module checks on the products' own monomials.  Invariance
-is tested by the Reynolds projection, which applies no rotation, so
-nothing here builds a root of unity.  Nothing uses a tolerance; a
-report is ok when the numbers agree.
+a candidate generating set.  The invariant dimensions, associative and
+Lie, are character counts, (W + R) / 2, with no linear algebra.  The
+invariants also come with an explicit basis, the Reynolds images of one
+weight-0 monomial per tau-orbit, which is independent by construction;
+the tests check both counts against it.  The generated ranks come from
+exact row reduction: for the subalgebra on integer rows whose columns
+are the basis words' own exponents read as digits (``assoc._column``),
+so no basis is enumerated or indexed, and for the module checks on the
+products' own monomials.  Every generator's invariance is tested by the
+Reynolds projection, which applies no rotation, so nothing here builds
+a root of unity.  Nothing uses a tolerance; a report is ok when the
+numbers agree.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import assoc
 from .assoc import MetAssocElem, _comm_monomial, _word_times, basis_monomials, uv_monomials
-from .cyclo import CycNum
+from .cyclo import CycNum, accumulate
 from .dihedral import reynolds_assoc, reynolds_lie, reynolds_uv, rotation_weight, swap
 from .lie import MetLieElem
 from .linalg import RowEchelon, _integer_row, _rational_row, express_in_span
@@ -34,7 +34,6 @@ from .poly import (
     ONE,
     CommPoly,
     RationalSeries,
-    accumulate,
     intpoly_add,
     intpoly_mul,
     uv,
@@ -50,6 +49,7 @@ __all__ = [
     "cuv_module_generators",
     "default_max_degree",
     "dim_invariants_assoc",
+    "dim_invariants_lie",
     "hilbert_assoc",
     "hilbert_cuv",
     "hilbert_lie",
@@ -195,6 +195,23 @@ def dim_invariants_assoc(n: int, d: int) -> int:
     # u^(d/2) v^(d/2) is the one swap-fixed word
     r = 1 if d % 2 == 0 else 0
     return (w + r) // 2 + _comm_invariant_count(n, d)
+
+
+def dim_invariants_lie(n: int, d: int) -> int:
+    """Dimension of the degree-d invariants of the Lie algebra,
+    ``len(invariant_basis_lie(n, d))`` with no basis built."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    k = d - 2
+    if k < 0:
+        return 0
+    # [v,u] ad(u)^a ad(v)^(k-a) has weight 2a - k; tau maps it to minus
+    # its swap, so the one swap-fixed word, at 2a = k, has trace -1
+    w = sum(1 for a in range(k + 1) if (2 * a - k) % n == 0)
+    r = -1 if d % 2 == 0 else 0
+    return (w + r) // 2
 
 
 # ----------------------------------------------------------------------
@@ -432,9 +449,10 @@ def module_span_check(
     Per degree, dim_generated is the rank of all coefficient-ring
     multiples of the generators, dim_series the coefficient of
     sum_i t^deg(z_i) times the coefficient-ring series, and dim_reynolds
-    the dimension of the target space; freeness up to max_degree means
-    all three agree everywhere.  Generators must have rational
-    coefficients: a row with any other entry raises ValueError.
+    the dimension of the target space, a count with no basis; freeness up
+    to max_degree means all three agree everywhere.  Generators must have
+    rational coefficients, and on the "both" and "right" sides every one
+    must be fixed by its Reynolds projection; ValueError otherwise.
     """
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be left, right or both, not {side!r}")
@@ -449,6 +467,10 @@ def module_span_check(
         dz = z.homogeneous_degree()
         if dz is None:
             raise ValueError("module generators must be homogeneous and nonzero")
+        if side != "left":
+            e = (MetLieElem if side == "right" else MetAssocElem).from_comm(z)
+            if (reynolds_lie if side == "right" else reynolds_assoc)(n, e) != e:
+                raise ValueError("module generators must be invariant")
         dz += shift
         graded.append((dz, z))
         if dz <= max_degree:
@@ -473,7 +495,7 @@ def module_span_check(
         elif side == "both":
             target = _comm_invariant_count(n, d)
         else:
-            target = len(_invariant_rows_lie(n, d))
+            target = dim_invariants_lie(n, d)
         ok = ech.rank == predicted[d] == target
         reports.append(DegreeReport(d, target, predicted[d], ech.rank, ok))
     return reports
@@ -482,7 +504,8 @@ def module_span_check(
 def lie_suite(n: int, max_degree: int | None = None) -> list[DegreeReport]:
     """Three-way check for the Lie algebra: the right-module check of
     the single generator u^n - v^n, whose series is the Lie series
-    t^(n+2) / ((1-t^2)(1-t^n)) and whose target is the Lie invariants."""
+    t^(n+2) / ((1-t^2)(1-t^n)) and whose target is the trace count
+    ``dim_invariants_lie``: no Lie invariant basis is built."""
     return module_span_check([lie_module_generator(n)], "right", n, max_degree)
 
 

@@ -5,9 +5,9 @@ alphabet) and u1, v1, u2, v2 (the commutator-ideal coordinates): a
 product of monomials is the slotwise sum and a degree is the sum of the
 tuple.  The elements of both algebras are built from polynomials in
 these.  The printing and pivoting order is the lexicographic order on
-the tuples.  ``accumulate`` is the one place where a sparse sum adds a
-term and drops a coefficient that cancels to zero.  ``ONE`` and ``ZERO``
-are the rational structural constants of every coefficient field.
+the tuples.  Sparse sums add terms through ``cyclo.accumulate``, which
+drops a coefficient that cancels to zero.  ``ONE`` and ``ZERO`` are the
+rational structural constants of every coefficient field.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, itemgetter, mul
 
-from .cyclo import CycNum, _powers, _signed_part, _signed_sum
+from .cyclo import CycNum, _powers, _signed_part, _signed_sum, accumulate
 
 __all__ = [
     "CommPoly",
@@ -24,7 +24,6 @@ __all__ = [
     "RationalSeries",
     "VARIABLES",
     "ZERO",
-    "accumulate",
     "intpoly_add",
     "intpoly_mul",
     "uv",
@@ -39,18 +38,6 @@ IU, IV, IU1, IV1, IU2, IV2 = range(6)
 # rationals combine with a CycNum of any order, so these serve every field
 ONE = CycNum.one(1)
 ZERO = CycNum.zero(1)
-
-
-def accumulate(out: dict, key, value) -> None:
-    """out[key] += value, with no zero coefficient left stored; any
-    scalar that is false at zero (``CycNum``, int) will do."""
-    prev = out.get(key)
-    if prev is not None:
-        value = prev + value
-    if not value:
-        out.pop(key, None)
-    else:
-        out[key] = value
 
 
 def _power(table: list, k: int):

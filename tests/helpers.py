@@ -6,7 +6,7 @@ from fractions import Fraction
 from random import Random
 
 from metabelian.assoc import MetAssocElem, from_word
-from metabelian.cyclo import CycNum, cyclotomic_polynomial, imag_unit
+from metabelian.cyclo import CycNum, cyclotomic_polynomial, euler_phi, imag_unit
 from metabelian.dihedral import group_elements
 from metabelian.expr import _evaluate
 from metabelian.lie import MetLieElem
@@ -113,21 +113,38 @@ def mul_oracle(e1: MetAssocElem, e2: MetAssocElem) -> MetAssocElem:
     return out
 
 
-def cyc_mul_oracle(x: CycNum, y: CycNum) -> CycNum:
-    """``x * y`` for two values of one order by the dense double loop,
-    then long division by the cyclotomic polynomial."""
-    order = x.order
+def _phi_remainder(order: int, dense: list) -> dict[int, Fraction]:
+    """The remainder of the dense polynomial ``dense`` (index equals
+    exponent) by long division with the cyclotomic polynomial, as a map
+    with no zeros."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    dense = [Fraction(0)] * (2 * deg)
-    for e1, c1 in x.coeffs.items():
-        for e2, c2 in y.coeffs.items():
-            dense[e1 + e2] += c1 * c2
+    dense = list(dense)
     for e in range(len(dense) - 1, deg - 1, -1):
         c = dense[e]
         for j, pj in enumerate(phi):
             dense[e - deg + j] -= c * pj
-    return CycNum(order, {e: c for e, c in enumerate(dense[:deg]) if c})
+    return {e: c for e, c in enumerate(dense[:deg]) if c}
+
+
+def cyc_oracle(order: int, coeffs: dict) -> dict[int, Fraction]:
+    """The map ``CycNum(order, coeffs)`` stores: each exponent taken mod
+    ``order`` into a dense list, then long division by the cyclotomic
+    polynomial."""
+    dense = [Fraction(0)] * order
+    for e, c in coeffs.items():
+        dense[e % order] += c
+    return _phi_remainder(order, dense)
+
+
+def cyc_mul_oracle(x: CycNum, y: CycNum) -> CycNum:
+    """``x * y`` for two values of one order by the dense double loop,
+    then long division by the cyclotomic polynomial."""
+    dense = [Fraction(0)] * (2 * euler_phi(x.order))
+    for e1, c1 in x.coeffs.items():
+        for e2, c2 in y.coeffs.items():
+            dense[e1 + e2] += c1 * c2
+    return CycNum(x.order, _phi_remainder(x.order, dense))
 
 
 def eval_with_leaves(node) -> MetAssocElem:

@@ -5,6 +5,7 @@ import pytest
 
 from metabelian.cyclo import (
     CycNum,
+    accumulate,
     ambient_order,
     cyclotomic_polynomial,
     euler_phi,
@@ -12,7 +13,7 @@ from metabelian.cyclo import (
     root_of_unity,
 )
 from metabelian.poly import ONE
-from helpers import cyc_mul_oracle, random_cyc
+from helpers import cyc_mul_oracle, cyc_oracle, random_cyc
 
 
 def test_euler_phi():
@@ -26,6 +27,9 @@ def test_cyclotomic_polynomials_known():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    # the first with a coefficient outside {-1, 0, 1}: -2 at x^7 and x^41
+    phi = cyclotomic_polynomial(105)
+    assert {j: c for j, c in enumerate(phi) if c not in (-1, 0, 1)} == {7: -2, 41: -2}
 
 
 def test_order_validation():
@@ -169,6 +173,78 @@ def test_one_term_factor_shifts_and_reduces():
                 want = cyc_mul_oracle(a, y)
                 for got in (a * y, y * a):
                     assert got.order == 12 and got.coeffs == want.coeffs
+
+
+# Phi_105 is the first cyclotomic polynomial with a coefficient outside
+# {-1, 0, 1}; Phi_1 and Phi_28 have a -1 below the top
+REDUCTION_ORDERS = (1, 2, 3, 5, 8, 28, 105)
+
+
+@pytest.mark.parametrize("m", REDUCTION_ORDERS)
+def test_constructor_matches_long_division(m):
+    # exponents in [-2m, 2m] are taken mod m, and duplicates mod m add up
+    # before the reduction, some of them to zero
+    rng = Random(2000 + m)
+    deg = euler_phi(m)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            e = rng.randint(-2 * m, 2 * m)
+            q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            terms[e] = q if rng.random() < 0.8 else q.numerator
+            if rng.random() < 0.3:
+                terms[e - m if e >= -m else e + m] = -q
+        got = CycNum(m, terms)
+        assert got.coeffs == cyc_oracle(m, terms), terms
+        assert all(0 <= e < deg and type(c) is Fraction and c for e, c in got.coeffs.items())
+    for e in range(-2 * m, m + 1):
+        # the same exponent mod m, cancelling
+        assert CycNum(m, {e: Fraction(2, 3), e + m: Fraction(-2, 3)}).coeffs == {}
+
+
+@pytest.mark.parametrize("m", REDUCTION_ORDERS)
+def test_products_match_long_division(m):
+    # multi-term factors, and one-term factors q*zeta^k on either side
+    rng = Random(2100 + m)
+    deg = euler_phi(m)
+
+    def draw(count):
+        return CycNum(m, {
+            rng.randrange(deg): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(count)
+        })
+
+    for _ in range(30):
+        x, y = draw(rng.randint(2, 6)), draw(rng.randint(2, 6))
+        one_term = CycNum(m, {rng.randrange(m): Fraction(rng.randint(1, 5), rng.randint(1, 4))})
+        for a, b in ((x, y), (one_term, y), (x, one_term)):
+            want = cyc_mul_oracle(a, b).coeffs
+            assert (a * b).coeffs == want and (b * a).coeffs == want
+
+
+def test_accumulate_drops_a_cancelled_fraction():
+    out = {3: Fraction(2, 3), 4: Fraction(1)}
+    accumulate(out, 3, Fraction(-2, 3))
+    assert out == {4: 1}
+    accumulate(out, 5, Fraction(0))
+    assert out == {4: 1}
+    accumulate(out, 4, Fraction(1, 2))
+    assert out == {4: Fraction(3, 2)}
+
+
+def test_constructor_takes_only_what_arithmetic_takes():
+    # arithmetic refuses a float, so the constructor refuses it too, and
+    # every other coefficient but an int or a Fraction, and every exponent
+    # but an int
+    for coeffs in ({0: 0.1}, {0: "1/3"}, {1.5: 1}, {"1": 1}, {0: 1.0}):
+        with pytest.raises(TypeError):
+            CycNum(4, coeffs)
+    with pytest.raises(TypeError):
+        CycNum.from_rational(4, 0.5)
+    with pytest.raises(TypeError):
+        CycNum(4, {0: 1}) * 0.5
+    assert CycNum(4, {5: 2}).coeffs == {1: Fraction(2)}
+    assert CycNum.from_rational(4, Fraction(1, 3)) == Fraction(1, 3)
 
 
 def test_gaussian_detection():

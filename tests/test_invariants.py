@@ -19,6 +19,7 @@ from metabelian.invariants import (
     cst_sanity,
     cuv_module_generators,
     dim_invariants_assoc,
+    dim_invariants_lie,
     hilbert_assoc,
     hilbert_cuv,
     hilbert_lie,
@@ -39,7 +40,7 @@ from metabelian.invariants import (
 )
 from metabelian.lie import MetLieElem
 from metabelian.linalg import RowEchelon, rank_of
-from metabelian.poly import CommPoly, RationalSeries, uv
+from metabelian.poly import ONE, CommPoly, RationalSeries, uv
 
 
 def test_invariant_basis_assoc_examples():
@@ -234,8 +235,16 @@ def test_assoc_checks_build_no_reynolds_basis(monkeypatch):
     gens = invariant_generators_assoc(3)
     subalgebra_filtration(gens, 3, 10)
     module_span_check(comm_module_generators(3), "both", 3, 10)
-    assert seen == gens
+    assert seen == gens + [MetAssocElem.from_comm(z) for z in comm_module_generators(3)]
     assert _invariant_rows_assoc.cache_info() == before
+
+
+def test_lie_suite_builds_no_lie_basis():
+    # the Lie target is the trace count; reynolds_lie sees the generator
+    before = _invariant_rows_lie.cache_info()
+    for n in (3, 5, 11):
+        assert all(r.ok for r in lie_suite(n, 3 * n + 4))
+    assert _invariant_rows_lie.cache_info() == before
 
 
 def test_trace_count_assoc_validation():
@@ -246,11 +255,21 @@ def test_trace_count_assoc_validation():
 
 
 def test_trace_count_lie():
+    # the count the Lie check uses against the brute-force count, the
+    # basis and the series
     for n in range(3, 9):
         series = hilbert_lie(n).coefficients(40)
         for d in range(41):
-            count = _lie_trace_count(n, d)
-            assert len(_invariant_rows_lie(n, d)) == count == series[d], (n, d)
+            count = dim_invariants_lie(n, d)
+            assert count == _lie_trace_count(n, d), (n, d)
+            assert count == len(_invariant_rows_lie(n, d)) == series[d], (n, d)
+
+
+def test_trace_count_lie_validation():
+    with pytest.raises(ValueError):
+        dim_invariants_lie(2, 4)
+    with pytest.raises(ValueError):
+        dim_invariants_lie(3, -1)
 
 
 def test_stated_series_overcounts_at_corner_degree():
@@ -388,6 +407,28 @@ def test_module_span_check_rejects_non_rational_generators():
     iu = CommPoly.term(uv(1, 0), imag_unit(ambient_order(3)))
     with pytest.raises(ValueError, match="rational"):
         module_span_check([iu], "left", 3, 4)
+
+
+def test_module_span_check_rejects_non_invariant_generators():
+    # a rank comparison proves nothing about generators that are not
+    # invariant: each set below reaches every rank, so each reported ok
+    # before the generators were checked
+    u4v4 = CommPoly({uv(4, 0): ONE, uv(0, 4): ONE})
+    assert reynolds_lie(4, MetLieElem.from_comm(u4v4)) != MetLieElem.from_comm(u4v4)
+    with pytest.raises(ValueError, match="invariant"):
+        module_span_check([u4v4], "right", 4, 14)
+    gens = comm_module_generators(3)
+    free = gens[:4] + gens[5:]
+    plus = CommPoly({(0, 0, 1, 0, 2, 0): ONE, (0, 0, 0, 1, 0, 2): ONE})
+    assert free[1] == CommPoly({(0, 0, 1, 0, 2, 0): ONE, (0, 0, 0, 1, 0, 2): -ONE})
+    bad = free[:1] + [plus] + free[2:]
+    with pytest.raises(ValueError, match="invariant"):
+        module_span_check(bad, "both", 3, 10)
+    # a generator above max_degree is checked too
+    with pytest.raises(ValueError, match="invariant"):
+        module_span_check(free + [CommPoly.term((0, 0, 5, 0, 0, 0), ONE)], "both", 3, 4)
+    with pytest.raises(ValueError, match="invariant"):
+        module_span_check([lie_module_generator(4), u4v4], "right", 4, 3)
 
 
 def test_lie_suite():

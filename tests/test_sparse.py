@@ -1,6 +1,6 @@
 """No operation of the sparse layer stores a zero coefficient.
 
-Every sum that can cancel goes through ``poly.accumulate``; these seeded
+Every sum that can cancel goes through ``cyclo.accumulate``; these seeded
 checks feed it inputs built to cancel and look for zeros left behind.
 They also check that every key is a monomial in the package's one
 format, a tuple of six nonnegative ints.
