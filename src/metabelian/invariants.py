@@ -3,29 +3,33 @@
 Three independent quantities are compared at every degree: the
 dimension of the invariants (the defining oracle), the coefficient of a
 closed-form Hilbert series, and the rank actually reached by products of
-a candidate generating set.  The invariant dimensions, associative and
-Lie, are character counts, (W + R) / 2, with no linear algebra.  The
-invariants also come with an explicit basis, the Reynolds images of one
-weight-0 monomial per tau-orbit, which is independent by construction;
-the tests check both counts against it.  The generated ranks come from
-exact row reduction: for the subalgebra on integer rows whose columns
-are the basis words' own exponents read as digits (``assoc._column``),
-so no basis is enumerated or indexed, and for the module checks on the
-products' own monomials.  Every generator's invariance is tested by the
-Reynolds projection, which applies no rotation, so nothing here builds
-a root of unity.  Nothing uses a tolerance; a report is ok when the
-numbers agree.
+a candidate generating set.  The invariants have a basis of one tau-orbit
+sum per weight-0 monomial, and one enumeration, ``_orbit_pairs``, lists
+the letter counts (p, q) of those orbits.  Every invariant dimension,
+associative, commutator-block and Lie, is a count over the pairs, and
+every explicit basis, commutative, associative and Lie, a formula over
+them: no linear algebra and no Reynolds call.  The tests check the
+counts against the brute-force character count (W + R) / 2 and the
+bases against the average over all 2n group elements.  The generated
+ranks come from exact row reduction: for the subalgebra on integer rows
+whose columns are the basis words' own exponents read as digits
+(``assoc._column``), so no basis is enumerated or indexed, and for the
+module checks on the products' own monomials.  Every generator's
+invariance is tested by the Reynolds projection, which applies no
+rotation, so nothing here builds a root of unity.  Nothing uses a
+tolerance; a report is ok when the numbers agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import assoc
 from .assoc import MetAssocElem, _comm_monomial, _word_times, basis_monomials, uv_monomials
 from .cyclo import CycNum, accumulate
-from .dihedral import reynolds_assoc, reynolds_lie, reynolds_uv, rotation_weight, swap
+from .dihedral import reynolds_assoc, reynolds_lie, reynolds_uv, swap
 from .lie import MetLieElem
 from .linalg import RowEchelon, _integer_row, _rational_row, express_in_span
 from .poly import (
@@ -91,127 +95,100 @@ def default_max_degree(n: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Invariant bases from tau-orbit sums
+# Invariant bases and dimensions from the tau-orbits
 # ----------------------------------------------------------------------
+#
+# Rotations fix the monomials of weight 0 mod n.  tau sends u^p v^q to
+# v^p u^q = u^q v^p plus the cross monomials u1^i v1^j u2^(q-1-i)
+# v2^(p-1-j), i < q, j < p, and a commutator monomial m to -swap(m).  So
+# one sum m + tau(m) per weight-0 m larger than its swap is a basis: the
+# supports in m's own block are disjoint, and a swap-fixed commutator
+# monomial gives 0.
 
-def _tau_orbit_images(n: int, monos, wrap, reynolds) -> tuple:
-    """Reynolds images of one monomial per tau-orbit: a basis of the
-    invariants in the span of ``monos``, found with no elimination.
+_HALF = ONE * Fraction(1, 2)
 
-    ``monos`` is one block of basis monomials (u^a v^b words, commutator
-    words, or Lie commutators) and ``wrap`` turns a one-term polynomial
-    into an element of that block.  Rotations fix exactly the monomials
-    of weight 0 mod n.  On such an m, tau gives +-swap(m), plus
-    commutator-block terms when m is a u^a v^b word.  So R(m) has support
-    {m, swap(m)} in m's own block, and R(swap(m)) is +-R(m) up to an
-    invariant of the commutator block.  Keeping the larger of m and
-    swap(m), scaled so that m has coefficient 1, leaves images whose
-    supports in their own block are disjoint: they are independent, and
-    they span.  The images that vanish are those of swap-fixed monomials
-    on which tau acts as -1 (commutator words, Lie commutators).
-    """
-    out = []
-    for m in monos:
-        if rotation_weight(m) % n:
-            continue
-        s = swap(m)
-        if s > m:
-            continue
-        r = reynolds(n, wrap(CommPoly.term(m, ONE)))
-        if not r.is_zero():
-            out.append(r if s == m else r.scale(2))
-    return tuple(out)
+
+def _orbit_pairs(n: int, e: int) -> list[tuple[int, int]]:
+    """The letter counts (p, q) of the weight-0 monomials of degree e up
+    to swap: p >= q, p + q = e and p = q mod n, largest p first."""
+    return [(p, e - p) for p in range(e, (e - 1) // 2, -1) if (2 * p - e) % n == 0]
+
+
+def _swap_differences(n: int, monos, k: int) -> list[CommPoly]:
+    """m - swap(m) for each weight-0 m of ``monos`` (degree k) larger than
+    its swap, in the order of ``monos``; sum(m[::2]) counts m's u-letters."""
+    counts = {c for pair in _orbit_pairs(n, k) for c in pair}
+    return [
+        CommPoly({m: ONE, swap(m): -ONE}) for m in monos if sum(m[::2]) in counts and swap(m) < m
+    ]
+
+
+@lru_cache(maxsize=None)
+def _cuv_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
+    """Basis of the degree-e commutative invariants: the orbit sums
+    u^p v^q + u^q v^p, one term when p = q."""
+    return tuple(CommPoly({uv(p, q): ONE, uv(q, p): ONE}) for p, q in _orbit_pairs(n, e))
 
 
 @lru_cache(maxsize=None)
 def _invariant_rows_assoc(n: int, d: int) -> tuple[MetAssocElem, ...]:
-    poly, comm = basis_monomials(d)
-    return _tau_orbit_images(
-        n, poly, MetAssocElem.from_poly, reynolds_assoc
-    ) + _tau_orbit_images(n, comm, MetAssocElem.from_comm, reynolds_assoc)
+    rows = []
+    for (p, q), orbit_sum in zip(_orbit_pairs(n, d), _cuv_invariant_polys(n, d)):
+        # u^p v^q + tau(u^p v^q), halved at p = q, where the orbit sum is one term
+        c = ONE if p > q else _HALF
+        cross = {_comm_monomial(i, j, q - 1 - i, p - 1 - j): c for i in range(q) for j in range(p)}
+        rows.append(MetAssocElem(orbit_sum, CommPoly(cross)))
+    comm = _swap_differences(n, basis_monomials(d)[1], d - 2)
+    return tuple(rows) + tuple(MetAssocElem.from_comm(h) for h in comm)
 
 
 @lru_cache(maxsize=None)
 def _invariant_rows_lie(n: int, d: int) -> tuple[MetLieElem, ...]:
     # u and v weigh +1 and -1, never 0 mod n >= 3: nothing below degree 2
-    return _tau_orbit_images(n, uv_monomials(d - 2), MetLieElem.from_comm, reynolds_lie)
+    comm = _swap_differences(n, uv_monomials(d - 2), d - 2)
+    return tuple(MetLieElem.from_comm(h) for h in comm)
 
 
-@lru_cache(maxsize=None)
-def _cuv_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
-    """Basis of the degree-e commutative invariants."""
-    return _tau_orbit_images(n, uv_monomials(e), lambda p: p, reynolds_uv)
-
-
-def invariant_basis_assoc(n: int, d: int) -> list[MetAssocElem]:
-    """A basis of the degree-d invariants of the associative algebra."""
+def _check_degree(n: int, d: int) -> None:
     if n < 3:
         raise ValueError("need n >= 3")
     if d < 0:
         raise ValueError("degree must be nonnegative")
+
+
+def invariant_basis_assoc(n: int, d: int) -> list[MetAssocElem]:
+    """A basis of the degree-d invariants of the associative algebra."""
+    _check_degree(n, d)
     return list(_invariant_rows_assoc(n, d))
 
 
 def invariant_basis_lie(n: int, d: int) -> list[MetLieElem]:
     """A basis of the degree-d invariants of the Lie algebra."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_degree(n, d)
     return list(_invariant_rows_lie(n, d))
 
 
-# ----------------------------------------------------------------------
-# Invariant dimensions from the trace count
-# ----------------------------------------------------------------------
-#
-# dim of the invariants = (1/2n) sum_g trace(g).  A rotation rho^k scales
-# a monomial of weight w by xi^(kw), and sum_k xi^(kw) = n [w = 0 mod n],
-# so the rotations add up to n W, W the number of basis monomials of
-# weight 0 mod n.  A reflection is triangular on the basis: the diagonal
-# entry of u^a v^b is [a = b] (tau straightens v^a u^b to u^a v^b plus
-# commutator terms), and that of a commutator monomial, which tau maps
-# to minus its swap, is -[it is swap-fixed].  So each reflection has the
-# same trace R, and each block has dimension (W + R) / 2.
-
 def _comm_invariant_count(n: int, d: int) -> int:
-    """Dimension of the degree-d invariants in the commutator block."""
-    k = d - 2
-    if k < 0:
-        return 0
-    # u1^a v1^b u2^c v2^e with p = a + c u's has weight 2p - k
-    w = sum((p + 1) * (k - p + 1) for p in range(k + 1) if (2 * p - k) % n == 0)
-    # the d/2 swap-fixed words u^a v^a [v,u] u^c v^c, 2a + 2c = k
-    r = -(d // 2) if d % 2 == 0 else 0
-    return (w + r) // 2
+    """Dimension of the degree-d invariants in the commutator block: a
+    pair p > q has (p+1)(q+1) monomials with p u-letters, each in its own
+    orbit, and at p = q the p + 1 swap-fixed ones of the (p+1)^2 drop."""
+    return sum(
+        (p + 1) * (q + 1) if p > q else p * (p + 1) // 2 for p, q in _orbit_pairs(n, d - 2)
+    )
 
 
 def dim_invariants_assoc(n: int, d: int) -> int:
     """Dimension of the degree-d invariants of the associative algebra,
     ``len(invariant_basis_assoc(n, d))`` with no basis built."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    w = sum(1 for a in range(d + 1) if (2 * a - d) % n == 0)
-    # u^(d/2) v^(d/2) is the one swap-fixed word
-    r = 1 if d % 2 == 0 else 0
-    return (w + r) // 2 + _comm_invariant_count(n, d)
+    _check_degree(n, d)
+    return len(_orbit_pairs(n, d)) + _comm_invariant_count(n, d)
 
 
 def dim_invariants_lie(n: int, d: int) -> int:
     """Dimension of the degree-d invariants of the Lie algebra,
     ``len(invariant_basis_lie(n, d))`` with no basis built."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    k = d - 2
-    if k < 0:
-        return 0
-    # [v,u] ad(u)^a ad(v)^(k-a) has weight 2a - k; tau maps it to minus
-    # its swap, so the one swap-fixed word, at 2a = k, has trace -1
-    w = sum(1 for a in range(k + 1) if (2 * a - k) % n == 0)
-    r = -1 if d % 2 == 0 else 0
-    return (w + r) // 2
+    _check_degree(n, d)
+    return sum(p > q for p, q in _orbit_pairs(n, d - 2))
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +481,7 @@ def module_span_check(
 def lie_suite(n: int, max_degree: int | None = None) -> list[DegreeReport]:
     """Three-way check for the Lie algebra: the right-module check of
     the single generator u^n - v^n, whose series is the Lie series
-    t^(n+2) / ((1-t^2)(1-t^n)) and whose target is the trace count
+    t^(n+2) / ((1-t^2)(1-t^n)) and whose target is the orbit-pair count
     ``dim_invariants_lie``: no Lie invariant basis is built."""
     return module_span_check([lie_module_generator(n)], "right", n, max_degree)
 

@@ -7,10 +7,10 @@ from random import Random
 
 from metabelian.assoc import MetAssocElem, from_word
 from metabelian.cyclo import CycNum, cyclotomic_polynomial, euler_phi, imag_unit
-from metabelian.dihedral import group_elements
+from metabelian.dihedral import group_elements, rotation_weight, swap
 from metabelian.expr import _evaluate
 from metabelian.lie import MetLieElem
-from metabelian.poly import IU, IU1, IU2, IV, IV1, IV2, VARIABLES, CommPoly, uv
+from metabelian.poly import IU, IU1, IU2, IV, IV1, IV2, ONE, VARIABLES, CommPoly, uv
 
 
 def random_gaussian(rng: Random, order: int, nonzero: bool = False) -> CycNum:
@@ -229,6 +229,23 @@ def group_average(n: int, e, act):
         img = act(g, e)
         acc = img if acc is None else acc + img
     return acc.scale(Fraction(1, 2 * n))
+
+
+def orbit_images_oracle(n: int, monos, wrap, reynolds) -> list:
+    """An invariant basis by one Reynolds projection per tau-orbit, the
+    reference for the library's orbit-pair formulas: for each weight-0
+    monomial m of ``monos`` with swap(m) <= m, the image ``reynolds(n,
+    wrap(m))``, doubled unless m is swap-fixed and dropped when zero, in
+    the order of ``monos``."""
+    out = []
+    for m in monos:
+        s = swap(m)
+        if rotation_weight(m) % n or s > m:
+            continue
+        r = reynolds(n, wrap(CommPoly.term(m, ONE)))
+        if not r.is_zero():
+            out.append(r if s == m else r.scale(2))
+    return out
 
 
 def random_word(rng: Random, max_len: int = 6) -> str:

@@ -1,0 +1,150 @@
+"""Mutation check of the test suite: break the code on purpose, one
+change at a time, and see a selected test fail.
+
+Each mutant is (name, file under ``src/metabelian``, exact text,
+replacement, tests).  For each one the script copies ``src/`` and
+``tests/`` to a temporary directory, replaces the text, which must occur
+exactly once, and runs the named tests there with pytest (the copied
+``conftest.py`` puts the copied ``src/`` first on the path).  A mutant is
+
+* killed when a test fails (or the run outlasts ``TIMEOUT_S``),
+* survived when every test passes,
+* an error when its text does not occur exactly once (the code it names
+  has changed: update the mutant, or replace it with an equivalent) or
+  pytest stops for another reason, such as a collection error.
+
+The unmutated copy runs every named test first; if that fails, no mutant
+is run.  The exit status is 0 only when every mutant is killed.
+
+    python tests/mutants.py
+
+The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_INV = "tests/test_invariants.py::"
+MUTANTS = [
+    # the orbit-pair enumeration behind every invariant basis and count
+    Mutant("orbit-pairs-congruence", "invariants.py",
+           "(2 * p - e) % n == 0", "(2 * p - e) % n < 2",
+           (_INV + "test_trace_count_assoc", _INV + "test_trace_count_lie")),
+    Mutant("orbit-cross-exponent", "invariants.py",
+           "q - 1 - i", "q - i",
+           (_INV + "test_bases_equal_the_reynolds_orbit_oracle",)),
+    Mutant("orbit-halving-dropped", "invariants.py",
+           "c = ONE if p > q else _HALF", "c = ONE",
+           (_INV + "test_bases_equal_the_reynolds_orbit_oracle",)),
+    Mutant("orbit-swap-fixed-kept", "invariants.py",
+           "swap(m) < m", "swap(m) <= m",
+           (_INV + "test_bases_equal_the_reynolds_orbit_oracle",)),
+    Mutant("comm-count-diagonal", "invariants.py",
+           "p * (p + 1) // 2", "(p + 1) * (p + 2) // 2",
+           (_INV + "test_trace_count_assoc", _INV + "test_trace_count_comm_block")),
+    # the sparse reduction modulo Phi_m
+    Mutant("reduce-phi-coefficient", "cyclo.py",
+           "-c * phi[j]", "-c",
+           ("tests/test_cyclo.py",)),
+    Mutant("reduce-skipped-in-product", "cyclo.py",
+           "CycNum._make(order, _reduce(order, out))", "CycNum._make(order, out)",
+           ("tests/test_cyclo.py",)),
+    # the one-pass algebra product
+    Mutant("product-right-shift-dropped", "assoc.py",
+           "accumulate(comm, (0, 0, a1, b1, c1 + c, d1 + d), x * y)", "pass",
+           ("tests/test_assoc.py",)),
+    Mutant("product-cross-exponent", "assoc.py",
+           "c - 1 - i, b - 1 - j + d", "c - i, b - 1 - j + d",
+           ("tests/test_assoc.py",)),
+    # the row columns of verify assoc and their right-multiplication images
+    Mutant("column-digit-order", "assoc.py",
+           "return -(mono[0] * base + mono[1])", "return -(mono[1] * base + mono[0])",
+           ("tests/test_assoc.py",)),
+    Mutant("word-times-cross-step", "assoc.py",
+           "head - j * step", "head - j",
+           ("tests/test_assoc.py",)),
+    # the Reynolds projection (P0 + tau P0) / 2
+    Mutant("reynolds-half-dropped", "dihedral.py",
+           ".scale(Fraction(1, 2))", ".scale(Fraction(1))",
+           ("tests/test_dihedral.py",)),
+    Mutant("reynolds-weight-unreduced", "dihedral.py",
+           "not rotation_weight(m) % n", "not rotation_weight(m)",
+           ("tests/test_dihedral.py",)),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(where: Path, tests) -> int | None:
+    """pytest's exit status on ``tests`` in ``where``, None on timeout."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(where / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(
+            cmd, cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run_mutant(m: Mutant) -> str:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        where = Path(tmp)
+        _copy(where)
+        target = where / "src" / "metabelian" / m.path
+        text = target.read_text()
+        found = text.count(m.old)
+        if found != 1:
+            return f"error (text found {found} times)"
+        target.write_text(text.replace(m.old, m.new))
+        status = _pytest(where, m.tests)
+    if status is None:
+        return "killed (timeout)"
+    return {0: "survived", 1: "killed"}.get(status, f"error (pytest exit {status})")
+
+
+def main() -> int:
+    tests = sorted({t for m in MUTANTS for t in m.tests})
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy(Path(tmp))
+        if _pytest(Path(tmp), tests) != 0:
+            print("the unmutated copy fails the selected tests; no mutant run")
+            return 1
+    killed = 0
+    for m in MUTANTS:
+        start = time.perf_counter()
+        result = run_mutant(m)
+        killed += result.startswith("killed")
+        print(f"{m.name:30} {result:28} {time.perf_counter() - start:6.1f} s", flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,8 @@
 import pytest
 
-from helpers import group_average
-from metabelian import invariants
-from metabelian.assoc import MetAssocElem, MetElem, from_word
+from helpers import group_average, orbit_images_oracle
+from metabelian import cli, invariants
+from metabelian.assoc import MetAssocElem, MetElem, basis_monomials, from_word, uv_monomials
 from metabelian.assoc import basis as assoc_basis
 from metabelian.cyclo import CycNum, ambient_order, imag_unit
 from metabelian.dihedral import (
@@ -37,6 +37,7 @@ from metabelian.invariants import (
     _cuv_invariant_polys,
     _invariant_rows_assoc,
     _invariant_rows_lie,
+    _tensor_invariant_polys,
 )
 from metabelian.lie import MetLieElem
 from metabelian.linalg import RowEchelon, rank_of
@@ -128,6 +129,49 @@ def test_cuv_basis_matches_group_average():
                 assert reynolds_uv(n, p) == p
 
 
+def test_bases_equal_the_reynolds_orbit_oracle():
+    # element by element and in order: the span checks above would miss
+    # a changed sign, scale or order
+    for n in range(3, 8):
+        for d in range(15):
+            poly, comm = basis_monomials(d)
+            assert invariant_basis_assoc(n, d) == orbit_images_oracle(
+                n, poly, MetAssocElem.from_poly, reynolds_assoc
+            ) + orbit_images_oracle(n, comm, MetAssocElem.from_comm, reynolds_assoc), (n, d)
+            lie = orbit_images_oracle(n, uv_monomials(d - 2), MetLieElem.from_comm, reynolds_lie)
+            assert invariant_basis_lie(n, d) == lie, (n, d)
+            cuv = orbit_images_oracle(n, uv_monomials(d), lambda p: p, reynolds_uv)
+            assert list(_cuv_invariant_polys(n, d)) == cuv, (n, d)
+
+
+def test_bases_and_counts_call_no_reynolds(capsys, monkeypatch):
+    # every basis and count is a formula over the orbit pairs
+    def no_reynolds(n, e):
+        raise AssertionError("a Reynolds projection was called")
+
+    for name in ("reynolds_uv", "reynolds_assoc", "reynolds_lie"):
+        monkeypatch.setattr(invariants, name, no_reynolds)
+    # bases cached by earlier tests would hide a call
+    for cached in (
+        _invariant_rows_assoc,
+        _invariant_rows_lie,
+        _cuv_invariant_polys,
+        _tensor_invariant_polys,
+    ):
+        cached.cache_clear()
+    for n in range(3, 8):
+        for d in range(15):
+            invariant_basis_assoc(n, d)
+            invariant_basis_lie(n, d)
+            _cuv_invariant_polys(n, d)
+            _tensor_invariant_polys(n, d)
+            dim_invariants_assoc(n, d)
+            dim_invariants_lie(n, d)
+            _comm_invariant_count(n, d)
+    assert cli.main(["verify", "cuv-module", "--n", "4", "--max-deg", "10"]) == 0
+    assert capsys.readouterr().out.count(" ok\n") == 11
+
+
 def test_hilbert_closed_forms():
     # expansions of the configured closed forms
     assert hilbert_assoc(3).coefficients(8) == [1, 0, 1, 1, 2, 5, 5, 11, 16]
@@ -164,10 +208,15 @@ def test_reynolds_ranks_match_corner_free_series():
             assert len(invariant_basis_assoc(n, d)) == series[d]
 
 
-# The trace count dim = (W + R) / 2, W the number of basis monomials of
-# weight 0 mod n and R the trace of one reflection (derived beside
-# ``dim_invariants_assoc``).  These oracles count W by brute force, one
-# monomial at a time, independently of the library's closed inner count.
+# The character count dim = (1/2n) sum_g trace(g) = (W + R) / 2, the
+# oracle for the library's orbit-pair counts.  The rotations add up to
+# n W, W the number of basis monomials of weight 0 mod n, since
+# sum_k xi^(kw) = n [w = 0 mod n].  A reflection is triangular on the
+# basis: the diagonal entry of u^a v^b is [a = b] (tau straightens v^a u^b
+# to u^a v^b plus commutator terms), and that of a commutator monomial,
+# which tau maps to minus its swap, is -[it is swap-fixed].  So each
+# reflection has the same trace R.  These oracles count W by brute force,
+# one monomial at a time.
 
 def _assoc_trace_count(n: int, d: int) -> int:
     w = sum(1 for a in range(d + 1) if (a - (d - a)) % n == 0)
@@ -224,7 +273,7 @@ def test_trace_count_comm_block():
 
 
 def test_assoc_checks_build_no_reynolds_basis(monkeypatch):
-    # both associative targets come from the trace count: reynolds_assoc
+    # both associative targets come from the orbit-pair count: reynolds_assoc
     # sees the generators alone, and no invariant basis is built
     seen = []
     real = invariants.reynolds_assoc
@@ -240,7 +289,7 @@ def test_assoc_checks_build_no_reynolds_basis(monkeypatch):
 
 
 def test_lie_suite_builds_no_lie_basis():
-    # the Lie target is the trace count; reynolds_lie sees the generator
+    # the Lie target is the orbit-pair count; reynolds_lie sees the generator
     before = _invariant_rows_lie.cache_info()
     for n in (3, 5, 11):
         assert all(r.ok for r in lie_suite(n, 3 * n + 4))
@@ -270,6 +319,8 @@ def test_trace_count_lie_validation():
         dim_invariants_lie(2, 4)
     with pytest.raises(ValueError):
         dim_invariants_lie(3, -1)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        invariant_basis_lie(3, -5)
 
 
 def test_stated_series_overcounts_at_corner_degree():
