@@ -1,13 +1,14 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m).
 
 A value is the canonical residue modulo the m-th cyclotomic polynomial,
-stored sparsely as {exponent: rational} with all exponents below phi(m)
-and no zero entries.  Two values of one order are equal exactly when
-their maps are equal, so equality is decidable, and every operation is
-exact: there is no floating point anywhere in this module.  Exponents
-are ints and coefficients ints or ``Fraction``s, as in arithmetic.
-Construction and products end in one sparse reduction, ``_reduce``, and
-every sparse sum of the package adds its terms through ``accumulate``.
+stored as int numerators over one denominator, FLINT's fmpq_poly layout:
+``num`` maps exponents below phi(m) to nonzero ints and ``den`` is a
+positive int coprime to them all, so values of one order are equal
+exactly when (num, den) are.  Arithmetic is exact and on ints: it ends
+in one sparse reduction, ``_reduce`` (Phi_m is monic and integral), and
+one gcd, ``_lowest``; ``coeffs`` is an {exponent: Fraction} view built
+on each read, for printers and checks.  Every sparse sum of the package
+adds its terms through ``accumulate``.
 
 Rationals belong to every field.  A rational value of any order, order 1
 included, combines with a value of another order, and the result takes
@@ -35,8 +36,7 @@ __all__ = [
     "root_of_unity",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_UNIT = {0: 1}
 
 
 def euler_phi(m: int) -> int:
@@ -107,7 +107,7 @@ def accumulate(out: dict, key, value) -> None:
         out[key] = value
 
 
-def _reduce(order: int, terms: dict[int, Fraction]) -> dict[int, Fraction]:
+def _reduce(order: int, terms: dict[int, int]) -> dict[int, int]:
     """``terms`` reduced in place modulo Phi_m: from the top exponent down
     to phi(m), each term is cleared by subtracting its multiple of Phi_m."""
     phi = cyclotomic_polynomial(order)
@@ -121,59 +121,72 @@ def _reduce(order: int, terms: dict[int, Fraction]) -> dict[int, Fraction]:
     return terms
 
 
+def _lowest(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """num / den, for a positive den, divided by the gcd of den and num."""
+    g = gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {e: c // g for e, c in num.items()}, den // g
+
+
 class CycNum:
     """An element of Q(zeta_m), immutable after construction."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: dict[int, Fraction] | None = None):
+    def __init__(self, order: int, coeffs: dict[int, int | Fraction] | None = None):
         if order < 1:
             raise ValueError("cyclotomic order must be a positive integer")
-        terms: dict[int, Fraction] = {}
-        for e, c in (coeffs or {}).items():
-            if not isinstance(e, int) or not isinstance(c, (int, Fraction)):
-                raise TypeError("a CycNum takes int exponents and int or Fraction coefficients")
-            accumulate(terms, e % order, c if isinstance(c, Fraction) else Fraction(c))
+        items = (coeffs or {}).items()
+        if not all(isinstance(e, int) and isinstance(c, (int, Fraction)) for e, c in items):
+            raise TypeError("a CycNum takes int exponents and int or Fraction coefficients")
+        den = lcm(*(c.denominator for _, c in items))
+        terms: dict[int, int] = {}
+        for e, c in items:
+            accumulate(terms, e % order, c.numerator * (den // c.denominator))
         self.order = order
-        self.coeffs = _reduce(order, terms)
+        self.num, self.den = _lowest(_reduce(order, terms), den)
 
     @classmethod
-    def _make(cls, order: int, coeffs: dict[int, Fraction]) -> CycNum:
+    def _make(cls, order: int, num: dict[int, int], den: int) -> CycNum:
+        """The value num / den, which must be reduced and in lowest terms."""
         self = object.__new__(cls)
-        self.order = order
-        self.coeffs = coeffs
+        self.order, self.num, self.den = order, num, den
         return self
 
     @classmethod
     def zero(cls, order: int) -> CycNum:
-        return cls(order, {})
+        return cls._make(order, {}, 1)
 
     @classmethod
     def one(cls, order: int) -> CycNum:
-        return cls(order, {0: _F1})
+        return cls._make(order, {0: 1}, 1)
 
     @classmethod
     def from_rational(cls, order: int, value) -> CycNum:
         return cls(order, {0: value})
 
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """The value as {exponent: Fraction}, built on each read."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_rational(self) -> bool:
-        c = self.coeffs
-        return not c or (len(c) == 1 and 0 in c)
+        num = self.num
+        return not num or (len(num) == 1 and 0 in num)
 
     def rational_value(self) -> Fraction:
-        if not self.coeffs:
-            return _F0
-        if set(self.coeffs) != {0}:
+        if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num.get(0, 0), self.den)
 
     def _common_order(self, other: CycNum) -> int:
-        """The order of a sum or product with a value of another order: a
-        rational belongs to every field, so it takes the other's order."""
-        if other.is_rational():
+        """The order of a sum or product: a rational belongs to every
+        field, so it takes the other operand's order."""
+        if other.order == self.order or other.is_rational():
             return self.order
         if self.is_rational():
             return other.order
@@ -183,61 +196,55 @@ class CycNum:
         if isinstance(other, CycNum):
             return other
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycNum._make(self.order, {0: q} if q else {})
+            num = {0: other.numerator} if other else {}
+            return CycNum._make(self.order, num, other.denominator)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        order = self.order
-        if other.order != order:
-            order = self._common_order(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            accumulate(out, e, c)
-        return CycNum._make(order, out)
+        order = self._common_order(other)
+        # both sides over the lcm of the denominators: s = t = 1 when equal
+        g = gcd(self.den, other.den)
+        s, t = other.den // g, self.den // g
+        out = {e: c * s for e, c in self.num.items()}
+        for e, c in other.num.items():
+            accumulate(out, e, c * t)
+        return CycNum._make(order, *_lowest(out, self.den * s))
 
     __radd__ = __add__
 
     def __neg__(self) -> CycNum:
-        return CycNum._make(self.order, {e: -c for e, c in self.coeffs.items()})
+        return CycNum._make(self.order, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return CycNum._make(self.order, {})
-            return CycNum._make(self.order, {e: c * q for e, c in self.coeffs.items()})
+            p = other.numerator
+            out = {e: c * p for e, c in self.num.items()} if p else {}
+            return CycNum._make(self.order, *_lowest(out, self.den * other.denominator))
         if not isinstance(other, CycNum):
             return NotImplemented
-        order = self.order
-        if other.order != order:
-            order = self._common_order(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 1 and a.get(0) == 1:
+        order = self._common_order(other)
+        a, b = self, other
+        if a.den == 1 and a.num == _UNIT:
             a, b = b, a
-        if len(b) == 1 and b.get(0) == 1:
+        if b.den == 1 and b.num == _UNIT:
             # the factor 1 shares the other's map: no CycNum changes in place
-            return CycNum._make(order, a)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+            return CycNum._make(order, a.num, a.den)
+        out: dict[int, int] = {}
+        for e1, c1 in a.num.items():
+            for e2, c2 in b.num.items():
                 accumulate(out, e1 + e2, c1 * c2)
-        return CycNum._make(order, _reduce(order, out))
+        return CycNum._make(order, *_lowest(_reduce(order, out), a.den * b.den))
 
     __rmul__ = __mul__
 
@@ -245,57 +252,55 @@ class CycNum:
         if k < 0:
             return self.inv() ** (-k)
         result = CycNum.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
+        for bit in bin(k)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
+
+    def _galois(self, k: int) -> CycNum:
+        """sigma_k: zeta -> zeta^k, for k prime to the order.  It maps
+        Z[zeta] onto itself, so it keeps num / den in lowest terms."""
+        m = self.order
+        return CycNum._make(m, _reduce(m, {k * e % m: c for e, c in self.num.items()}), self.den)
 
     def inv(self) -> CycNum:
         """Multiplicative inverse; division by zero is a reported error.
 
-        With sigma_k the automorphism zeta -> zeta^k, the product c of
-        the sigma_k(x) over 1 < k < m, gcd(k, m) = 1, makes x * c the
-        norm of x, a nonzero rational; so 1/x = c / (x * c).
+        The product c of the sigma_k(x) over 1 < k < m, gcd(k, m) = 1,
+        makes x * c the norm of x, a nonzero rational; so 1/x = c / (x * c).
         """
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError(f"division by zero in Q(zeta_{self.order})")
         if self.is_rational():
-            return CycNum._make(self.order, {0: 1 / self.coeffs[0]})
+            return self._coerce(1 / self.rational_value())
         m = self.order
         conj = CycNum.one(m)
         for k in range(2, m):
             if gcd(k, m) == 1:
-                conj = conj * CycNum(m, {k * e: c for e, c in self.coeffs.items()})
+                conj = conj * self._galois(k)
         return conj * (1 / (self * conj).rational_value())
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
+        return NotImplemented if other is None else self * other.inv()
 
     def __rtruediv__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced * self.inv()
+        other = self._coerce(other)
+        return NotImplemented if other is None else other * self.inv()
 
     def conj(self) -> CycNum:
         """Complex conjugation, zeta_m maps to zeta_m^(m-1)."""
-        return CycNum(self.order, {-e: c for e, c in self.coeffs.items()})
+        return self._galois(-1)
 
     def as_gaussian(self) -> tuple[Fraction, Fraction] | None:
         """Write the value as a + b*i with rational a, b, or None."""
         if self.is_rational():
-            return (self.coeffs.get(0, _F0), _F0)
+            return (self.rational_value(), Fraction(0))
         if self.order % 4:
             return None
-        iu = imag_unit(self.order).coeffs
-        rest = {e: c for e, c in self.coeffs.items() if e}
+        coeffs, iu = self.coeffs, imag_unit(self.order).coeffs
+        rest = {e: c for e, c in coeffs.items() if e}
         e = next(iter(rest))
         if e not in iu:
             return None
@@ -304,34 +309,28 @@ class CycNum:
         # exactly when the other terms match those of b*i
         if rest != {k: b * c for k, c in iu.items() if k}:
             return None
-        return (self.coeffs.get(0, _F0) - b * iu.get(0, _F0), b)
+        return (coeffs.get(0, 0) - b * iu.get(0, 0), b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return self.is_rational() and self.coeffs.get(0, _F0) == q
-        if not isinstance(other, CycNum):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        return (
-            self.is_rational()
-            and other.is_rational()
-            and self.coeffs.get(0, _F0) == other.coeffs.get(0, _F0)
+        # equal maps of two orders are equal only as rationals
+        return self.num == other.num and self.den == other.den and (
+            self.order == other.order or self.is_rational()
         )
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self.coeffs.get(0, _F0))
-        return hash((self.order, tuple(sorted(self.coeffs.items()))))
+            return hash(self.rational_value())
+        return hash((self.order, self.den, tuple(sorted(self.num.items()))))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __str__(self) -> str:
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e, c in sorted(self.coeffs.items()):
             body = _fraction_text(abs(c))
             if e:
                 z = f"z({self.order},{e})"
@@ -377,7 +376,7 @@ def _signed_part(c: CycNum) -> tuple[bool, str]:
     """``c`` as a (negative, body) part of ``_signed_sum``: a sum in
     parentheses, a single term with its sign taken out."""
     text = str(c)
-    if len(c.coeffs) > 1:
+    if len(c.num) > 1:
         return (False, f"({text})")
     return (True, text[1:]) if text.startswith("-") else (False, text)
 
@@ -389,7 +388,7 @@ def _powers(names, exponents) -> list[str]:
 
 def root_of_unity(m: int, k: int) -> CycNum:
     """The canonical representative of zeta_m^k."""
-    return CycNum(m, {k: _F1})
+    return CycNum(m, {k: 1})
 
 
 @lru_cache(maxsize=None)

@@ -6,17 +6,16 @@ entry must be rational: a row with any other entry raises ValueError
 and leaves the echelon as it was.  Pivoting is deterministic: always
 the smallest remaining column.
 
-A row's denominators are cleared by their lcm, each stored pivot is a
+A row is read as its entries' int numerators over the lcm of their
+denominators, with no ``Fraction`` built.  Each stored pivot is a
 primitive integer row with a positive lead, and a step is
 row <- b*row - a*pivot, where (a, b) are the two lead entries divided
 by their gcd (Bareiss, Math. Comp. 22, 1968).  The residual is the
-integer row divided by the product of the b's, so it is exactly the
-residual of monic elimination.
+integer row over the product of the b's: the residual of monic elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import CycNum
@@ -29,28 +28,30 @@ Row = dict
 
 def _integer_row(row: Row) -> tuple[dict[int, int], int] | None:
     """(den * row as integers, den) for a rational row, else None."""
-    fracs = {}
-    for c, v in row.items():
-        coeffs = v.coeffs
-        if coeffs:
-            q = coeffs.get(0)
-            if q is None or len(coeffs) != 1:
-                return None
-            fracs[c] = q
-    den = lcm(*(q.denominator for q in fracs.values()))
-    return {c: q.numerator * (den // q.denominator) for c, q in fracs.items()}, den
+    den = 1
+    for v in row.values():
+        num = v.num
+        if num and (len(num) != 1 or 0 not in num):
+            return None
+        if v.den != 1:
+            den = lcm(den, v.den)
+    return {c: v.num[0] * (den // v.den) for c, v in row.items() if v.num}, den
 
 
 def _integer_input(row: Row) -> tuple[dict[int, int], int]:
     """The row for elimination; ValueError unless it is rational."""
-    ints = _integer_row(row)
-    if ints is None:
+    if (ints := _integer_row(row)) is None:
         raise ValueError("rows must have rational entries")
     return ints
 
 
 def _rational_row(row: dict[int, int], den: int) -> Row:
-    return {c: CycNum._make(1, {0: Fraction(v, den)}) for c, v in row.items()}
+    """The rational row row / den, each entry in lowest terms."""
+    out = {}
+    for c, v in row.items():
+        g = gcd(v, den)
+        out[c] = CycNum._make(1, {0: v // g}, den // g)
+    return out
 
 
 class RowEchelon:

@@ -67,8 +67,15 @@ MUTANTS = [
            "-c * phi[j]", "-c",
            ("tests/test_cyclo.py",)),
     Mutant("reduce-skipped-in-product", "cyclo.py",
-           "CycNum._make(order, _reduce(order, out))", "CycNum._make(order, out)",
+           "_lowest(_reduce(order, out), a.den * b.den)", "_lowest(out, a.den * b.den)",
            ("tests/test_cyclo.py",)),
+    # int numerators over one denominator, in lowest terms
+    Mutant("lowest-terms-skipped", "cyclo.py",
+           "*_lowest(_reduce(order, out), a.den * b.den)", "_reduce(order, out), a.den * b.den",
+           ("tests/test_cyclo.py::test_every_operation_keeps_the_canonical_form",)),
+    Mutant("rational-row-unreduced", "linalg.py",
+           "g = gcd(v, den)", "g = 1",
+           ("tests/test_cyclo.py::test_echelon_entries_keep_the_canonical_form",)),
     # the one-pass algebra product
     Mutant("product-right-shift-dropped", "assoc.py",
            "accumulate(comm, (0, 0, a1, b1, c1 + c, d1 + d), x * y)", "pass",

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metabelian.cyclo import (
     CycNum,
@@ -12,6 +14,7 @@ from metabelian.cyclo import (
     imag_unit,
     root_of_unity,
 )
+from metabelian.linalg import RowEchelon, express_in_span, rank_of
 from metabelian.poly import ONE
 from helpers import cyc_mul_oracle, cyc_oracle, random_cyc
 
@@ -271,3 +274,115 @@ def test_rendering():
     assert str(CycNum.from_rational(4, Fraction(-3, 2))) == "-3/2"
     assert str(root_of_unity(12, 2)) == "z(12,2)"
     assert str(-root_of_unity(12, 2) + 1) == "1 - z(12,2)"
+
+
+# ----------------------------------------------------------------------
+# Canonical form: int numerators over one denominator, in lowest terms
+# ----------------------------------------------------------------------
+
+CANONICAL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_Q = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+)
+
+
+def _terms(m: int):
+    return st.dictionaries(st.integers(-2 * m, 2 * m), _Q, max_size=5)
+
+
+def _sum(*maps) -> dict:
+    out = {}
+    for terms in maps:
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+    return out
+
+
+def _assert_canonical(x: CycNum, want: dict | None = None) -> None:
+    """x is stored reduced and in lowest terms, and (if given) its
+    Fraction view equals ``want``."""
+    assert type(x.den) is int and x.den >= 1
+    assert gcd(x.den, *x.num.values()) == 1
+    assert all(type(c) is int and c for c in x.num.values())
+    assert all(type(e) is int and 0 <= e < euler_phi(x.order) for e in x.num)
+    if want is not None:
+        assert x.coeffs == want
+    if x.is_rational():
+        assert hash(x) == hash(x.rational_value())
+
+
+@CANONICAL
+@given(st.data())
+def test_every_operation_keeps_the_canonical_form(data):
+    m = data.draw(st.sampled_from(sorted(set(ORDERS) | set(REDUCTION_ORDERS))))
+    tx, ty = data.draw(_terms(m)), data.draw(_terms(m))
+    q, k, p = data.draw(_Q), data.draw(st.integers(0, 4)), data.draw(st.integers(-12, 12))
+    x, y = CycNum(m, tx), CycNum(m, ty)
+    _assert_canonical(x, cyc_oracle(m, tx))
+    _assert_canonical(y, cyc_oracle(m, ty))
+    xc, yc = x.coeffs, y.coeffs
+    _assert_canonical(x + y, cyc_oracle(m, _sum(xc, yc)))
+    _assert_canonical(x - y, cyc_oracle(m, _sum(xc, {e: -c for e, c in yc.items()})))
+    _assert_canonical(-x, cyc_oracle(m, {e: -c for e, c in xc.items()}))
+    for s in (q, p, Fraction(p)):
+        want = cyc_oracle(m, {e: c * s for e, c in xc.items()})
+        _assert_canonical(x * s, want)
+        _assert_canonical(s * x, want)
+        _assert_canonical(x + s, cyc_oracle(m, _sum(xc, {0: s})))
+        _assert_canonical(s - x, cyc_oracle(m, _sum({0: s}, {e: -c for e, c in xc.items()})))
+    want = cyc_mul_oracle(x, y).coeffs
+    _assert_canonical(x * y, want)
+    _assert_canonical(y * x, want)
+    power = CycNum.one(m)
+    for _ in range(k):
+        power = cyc_mul_oracle(power, x)
+    _assert_canonical(x ** k, power.coeffs)
+    _assert_canonical(x.conj(), cyc_oracle(m, {-e: c for e, c in xc.items()}))
+    if x:
+        inverse = x.inv()
+        _assert_canonical(inverse)
+        assert cyc_mul_oracle(x, inverse).coeffs == {0: 1}
+
+
+@CANONICAL
+@given(
+    st.sampled_from((1, 4, 105)),
+    st.lists(
+        st.dictionaries(st.integers(0, 5), _Q, min_size=1, max_size=4), min_size=1, max_size=6
+    ),
+    st.lists(_Q, min_size=6, max_size=6),
+    st.dictionaries(st.integers(0, 5), _Q, max_size=4),
+)
+def test_echelon_entries_keep_the_canonical_form(m, rows, weights, query):
+    def cyc_row(terms):
+        return {c: CycNum.from_rational(m, v) for c, v in terms.items() if v}
+
+    rows = [cyc_row(r) for r in rows]
+    ech = RowEchelon()
+    for row in rows:
+        ech.insert(row)
+    for row in ech.rows():
+        for v in row.values():
+            _assert_canonical(v)
+        assert row[min(row)] == 1
+    residual = ech.reduce(cyc_row(query))
+    for v in residual.values():
+        _assert_canonical(v)
+    # query minus its residual lies in the row space
+    moved = cyc_row(_sum(query, {c: -v.rational_value() for c, v in residual.items()}))
+    assert rank_of(rows + [moved]) == ech.rank
+    # a combination of the rows is written back in them exactly
+    def combination(scalars):
+        return _sum(*(
+            {col: q * v.rational_value() for col, v in row.items()}
+            for row, q in zip(rows, scalars)
+        ))
+
+    target = cyc_row(combination(weights))
+    coeffs = express_in_span(rows, target)
+    assert coeffs is not None
+    for c in coeffs:
+        _assert_canonical(c)
+    got = combination([c.rational_value() for c in coeffs])
+    assert cyc_row(got) == target
