@@ -14,7 +14,10 @@ bases against the average over all 2n group elements.  The generated
 ranks come from exact row reduction: for the subalgebra on integer rows
 whose columns are the basis words' own exponents read as digits
 (``assoc._column``), so no basis is enumerated or indexed, and for the
-module checks on the products' own monomials.  Every generator's
+module checks on the products' own monomials.  The subalgebra rows of
+the commutator-block generators come first and use only the word parts
+of the span, as a commutator times a commutator is 0: a rank ignores
+row order, and the skipped rows are 0.  Every generator's
 invariance is tested by the Reynolds projection, which applies no
 rotation, so nothing here builds a root of unity.  Nothing uses a
 tolerance; a report is ok when the numbers agree.
@@ -309,7 +312,7 @@ def corner_generator_relation(n: int) -> tuple[MetAssocElem, MetAssocElem]:
 # Subalgebra generation check
 # ----------------------------------------------------------------------
 
-def _product_rows(graded, span: dict, d: int, base: int):
+def _product_rows(graded, span: dict, words: dict, d: int, base: int):
     """The integer rows of s * g, generator by generator, each s a span
     representative of degree d - deg(g), in the order of ``graded``.
 
@@ -318,12 +321,14 @@ def _product_rows(graded, span: dict, d: int, base: int):
     under right multiplication by g.  The images come from the closed
     form ``assoc._word_times`` and are kept in one map per generator and
     source degree, filled as the representatives reach their columns.
+    A commutator times a commutator is 0, so a generator with no word
+    part multiplies only the representatives' word parts, ``words``.
     """
     for dg, poly_terms, comm_terms in graded:
         if d < dg:
             continue
         images: dict[int, dict[int, int]] = {}
-        for s in span.get(d - dg, ()):
+        for s in (span if poly_terms else words).get(d - dg, ()):
             row: dict[int, int] = {}
             for j, x in s.items():
                 image = images.get(j)
@@ -346,6 +351,12 @@ def subalgebra_filtration(
     the representatives are integer rows, so a product row is a sum of
     integer rows from cached right-multiplication maps, with no algebra
     product.
+
+    The generators with no word part come first, then the others, each
+    in the given order; they multiply only the representatives' word
+    parts (columns <= 0), as a commutator times a commutator is 0.  No
+    report moves: a rank ignores row order, the early exit fires only
+    at the invariant dimension, and every skipped row is 0.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -371,8 +382,10 @@ def subalgebra_filtration(
                 [(m, ints[m]) for m in g.poly_part.terms],
                 [(m, ints[m]) for m in g.comm_part.terms],
             ))
+    graded.sort(key=lambda entry: bool(entry[1]))
     series = hilbert_assoc(n).coefficients(max_degree)
     span: dict[int, list[dict[int, int]]] = {}
+    words: dict[int, list[dict[int, int]]] = {}
     reports = []
     for d in range(max_degree + 1):
         dim_r = dim_invariants_assoc(n, d)
@@ -381,12 +394,13 @@ def subalgebra_filtration(
         # the unit, column 0, spans degree 0; the generators are
         # invariant, so once the span has the dimension of the
         # invariants no product can enlarge it
-        for row in _product_rows(graded, span, d, max_degree + 1) if d else ({0: 1},):
+        for row in _product_rows(graded, span, words, d, max_degree + 1) if d else ({0: 1},):
             if row and ech.insert(_rational_row(row, 1)):
                 reps.append(row)
                 if ech.rank == dim_r:
                     break
         span[d] = reps
+        words[d] = [w for s in reps if (w := {j: x for j, x in s.items() if j <= 0})]
         reports.append(
             DegreeReport(d, dim_r, series[d], ech.rank, dim_r == series[d] == ech.rank)
         )

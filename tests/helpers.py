@@ -7,9 +7,10 @@ from random import Random
 
 from metabelian.assoc import MetAssocElem, from_word
 from metabelian.cyclo import CycNum, cyclotomic_polynomial, euler_phi, imag_unit
-from metabelian.dihedral import group_elements, rotation_weight, swap
+from metabelian.dihedral import act_assoc, group_elements, rotation_weight, swap
 from metabelian.expr import _evaluate
 from metabelian.lie import MetLieElem
+from metabelian.linalg import rank_of
 from metabelian.poly import IU, IU1, IU2, IV, IV1, IV2, ONE, VARIABLES, CommPoly, uv
 
 
@@ -246,6 +247,29 @@ def orbit_images_oracle(n: int, monos, wrap, reynolds) -> list:
         if not r.is_zero():
             out.append(r if s == m else r.scale(2))
     return out
+
+
+def generated_dims_oracle(gens, n: int, d: int) -> list[int]:
+    """The dimension at each degree 0..d of the subalgebra generated by
+    ``gens``, the reference for ``subalgebra_filtration``'s ranks: degree
+    e is spanned by every product s * g, generator by generator in the
+    given order, with s any product of degree e - deg(g) (1 at degree 0),
+    each computed with ``MetAssocElem.__mul__`` and none skipped, and the
+    rank of the whole set is taken with no early stop.  Each generator
+    must be fixed by the average over the 2n elements of D_n."""
+    for g in gens:
+        assert group_average(n, g, act_assoc) == g
+    graded = [(g.homogeneous_degree(), g) for g in gens]
+    products = {0: [MetAssocElem.from_poly(CommPoly.constant(ONE))]}
+    dims = [1]
+    for e in range(1, d + 1):
+        products[e] = [s * g for dg, g in graded for s in products.get(e - dg, ())]
+        dims.append(rank_of(
+            {(0, m): c for m, c in p.poly_part.terms.items()}
+            | {(1, m): c for m, c in p.comm_part.terms.items()}
+            for p in products[e]
+        ))
+    return dims
 
 
 def random_word(rng: Random, max_len: int = 6) -> str:

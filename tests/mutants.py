@@ -62,6 +62,13 @@ MUTANTS = [
     Mutant("comm-count-diagonal", "invariants.py",
            "p * (p + 1) // 2", "(p + 1) * (p + 2) // 2",
            (_INV + "test_trace_count_assoc", _INV + "test_trace_count_comm_block")),
+    # the subalgebra products: commutator-block generators see word parts
+    Mutant("word-part-unit-dropped", "invariants.py",
+           "j <= 0", "j < 0",
+           (_INV + "test_subalgebra_filtration_matches_span_oracle",)),
+    Mutant("lifts-fed-word-parts", "invariants.py",
+           "(span if poly_terms else words)", "words",
+           (_INV + "test_subalgebra_filtration_matches_span_oracle",)),
     # the sparse reduction modulo Phi_m
     Mutant("reduce-phi-coefficient", "cyclo.py",
            "-c * phi[j]", "-c",

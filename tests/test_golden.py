@@ -13,6 +13,11 @@ reach degree 2n + 2 = 16 and its coefficients live in Q(zeta_28).
 ``verify_assoc_n24.json`` holds that of ``verify assoc --n 24 --json``
 as it was before the invariant dimension became a trace count: the
 larger-n case, its corner degree 2n + 2 = 50.
+``verify_assoc_n3_d32.json`` and ``verify_assoc_n7_d32.json`` hold those
+of ``verify assoc --n 3 --max-deg 32 --json`` and ``--n 7 --max-deg 32``
+as they were before the commutator-block generators' products were taken
+first and from the word parts of the span only: degree 32 is ROADMAP
+item 1's deep regime, well past the default degree 2n + 4.
 ``verify_lie_n7_d80.json`` and ``verify_cuv-module_n7_d80.json`` hold
 those of ``verify lie --n 7 --max-deg 80 --json`` and ``verify
 cuv-module --n 7 --max-deg 80 --json`` as they were before elimination
@@ -72,6 +77,14 @@ def test_large_n_assoc_report_matches_golden(capsys):
     argv = ["verify", "assoc", "--n", "7", "--max-deg", "22", "--json"]
     assert cli.main(argv) == 1
     expected = (DATA / "verify_assoc_n7_d22.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_d32_assoc_report_matches_golden(capsys, n):
+    argv = ["verify", "assoc", "--n", str(n), "--max-deg", "32", "--json"]
+    assert cli.main(argv) == 1
+    expected = (DATA / f"verify_assoc_n{n}_d32.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 

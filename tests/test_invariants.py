@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import group_average, orbit_images_oracle
+from helpers import generated_dims_oracle, group_average, orbit_images_oracle
 from metabelian import cli, invariants
 from metabelian.assoc import MetAssocElem, MetElem, basis_monomials, from_word, uv_monomials
 from metabelian.assoc import basis as assoc_basis
@@ -380,6 +380,35 @@ def test_subalgebra_filtration_three_way():
     assert all(r.dim_generated == r.dim_reynolds for r in reports)
     # the stated series only disagrees at the corner degree
     assert [r.degree for r in reports if not r.ok] == [8]
+
+
+def _generator_sets(n: int) -> dict[str, list[MetAssocElem]]:
+    """The standard set, cut and reordered; its degree-(n+2) module
+    generators are entries 2..n+2."""
+    gens = invariant_generators_assoc(n)
+    return {
+        "standard": gens,
+        "without-one": gens[:3] + gens[4:],
+        "without-two": gens[:2] + gens[3:n + 2] + gens[n + 3:],
+        "module-only": gens[2:],
+        "lifts-only": gens[:2],
+        "reversed": gens[::-1],
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize(
+    "name", ["standard", "without-one", "without-two", "module-only", "lifts-only", "reversed"]
+)
+def test_subalgebra_filtration_matches_span_oracle(n, name):
+    # the filtration skips the products a commutator times a commutator,
+    # orders the generators and stops early; the oracle does none of it
+    gens = _generator_sets(n)[name]
+    d = 2 * n + 2
+    reports = subalgebra_filtration(gens, n, d)
+    assert [r.dim_generated for r in reports] == generated_dims_oracle(gens, n, d)
+    if name == "without-two":
+        assert reports[n + 2].dim_generated < reports[n + 2].dim_reynolds
 
 
 def test_subalgebra_filtration_negative_control():
