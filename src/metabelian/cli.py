@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .cyclo import DigitLimitError
 from .dihedral import reynolds_assoc
@@ -51,6 +52,7 @@ def _max_deg_arg(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metabelian",

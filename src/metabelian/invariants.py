@@ -16,11 +16,11 @@ whose columns are the basis words' own exponents read as digits
 (``assoc._column``), so no basis is enumerated or indexed, and for the
 module checks on the products' own monomials.  The subalgebra rows of
 the commutator-block generators come first and use only the word parts
-of the span, as a commutator times a commutator is 0: a rank ignores
-row order, and the skipped rows are 0.  Every generator's
-invariance is tested by the Reynolds projection, which applies no
-rotation, so nothing here builds a root of unity.  Nothing uses a
-tolerance; a report is ok when the numbers agree.
+of the span, a degree's echelon pivots, as a commutator times a
+commutator is 0: a rank ignores row order, and the skipped rows are 0.
+Every generator's invariance is tested by the Reynolds projection,
+which applies no rotation, so nothing here builds a root of unity.
+Nothing uses a tolerance; a report is ok when the numbers agree.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 from . import assoc
 from .assoc import MetAssocElem, _comm_monomial, _word_times, basis_monomials, uv_monomials
 from .cyclo import CycNum, accumulate
-from .dihedral import reynolds_assoc, reynolds_lie, reynolds_uv, swap
+from .dihedral import _swap_straighten, reynolds_assoc, reynolds_lie, reynolds_uv, swap
 from .lie import MetLieElem
 from .linalg import RowEchelon, _integer_row, _rational_row, express_in_span
 from .poly import (
@@ -102,13 +102,11 @@ def default_max_degree(n: int) -> int:
 # ----------------------------------------------------------------------
 #
 # Rotations fix the monomials of weight 0 mod n.  tau sends u^p v^q to
-# v^p u^q = u^q v^p plus the cross monomials u1^i v1^j u2^(q-1-i)
-# v2^(p-1-j), i < q, j < p, and a commutator monomial m to -swap(m).  So
-# one sum m + tau(m) per weight-0 m larger than its swap is a basis: the
-# supports in m's own block are disjoint, and a swap-fixed commutator
-# monomial gives 0.
-
-_HALF = ONE * Fraction(1, 2)
+# the straightened word v^p u^q (``dihedral._swap_straighten``), which is
+# u^q v^p plus commutator terms, and a commutator monomial m to
+# -swap(m).  So one sum m + tau(m) per weight-0 m larger than its swap,
+# halved for the swap-fixed word u^p v^p, is a basis: the supports in m's
+# own block are disjoint, and a swap-fixed commutator monomial gives 0.
 
 
 def _orbit_pairs(n: int, e: int) -> list[tuple[int, int]]:
@@ -136,11 +134,9 @@ def _cuv_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
 @lru_cache(maxsize=None)
 def _invariant_rows_assoc(n: int, d: int) -> tuple[MetAssocElem, ...]:
     rows = []
-    for (p, q), orbit_sum in zip(_orbit_pairs(n, d), _cuv_invariant_polys(n, d)):
-        # u^p v^q + tau(u^p v^q), halved at p = q, where the orbit sum is one term
-        c = ONE if p > q else _HALF
-        cross = {_comm_monomial(i, j, q - 1 - i, p - 1 - j): c for i in range(q) for j in range(p)}
-        rows.append(MetAssocElem(orbit_sum, CommPoly(cross)))
+    for p, q in _orbit_pairs(n, d):
+        row = MetAssocElem.from_poly(CommPoly.term(uv(p, q), ONE)) + _swap_straighten(p, q)
+        rows.append(row if p > q else row.scale(Fraction(1, 2)))
     comm = _swap_differences(n, basis_monomials(d)[1], d - 2)
     return tuple(rows) + tuple(MetAssocElem.from_comm(h) for h in comm)
 
@@ -313,16 +309,17 @@ def corner_generator_relation(n: int) -> tuple[MetAssocElem, MetAssocElem]:
 # ----------------------------------------------------------------------
 
 def _product_rows(graded, span: dict, words: dict, d: int, base: int):
-    """The integer rows of s * g, generator by generator, each s a span
-    representative of degree d - deg(g), in the order of ``graded``.
+    """The integer rows of s * g, generator by generator, each s a pivot
+    of degree d - deg(g), in the order of ``graded``.
 
     Rows are keyed by ``assoc._column`` in ``base``, so a column is its
     basis word.  s * g is the sum of s[j] times the image of the word j
     under right multiplication by g.  The images come from the closed
     form ``assoc._word_times`` and are kept in one map per generator and
-    source degree, filled as the representatives reach their columns.
-    A commutator times a commutator is 0, so a generator with no word
-    part multiplies only the representatives' word parts, ``words``.
+    source degree, filled as the pivots reach their columns.  A
+    commutator times a commutator is 0, so a generator with no word part
+    multiplies only ``words``, the word parts of the pivots led by a
+    word column: word columns sort first, so no other pivot has one.
     """
     for dg, poly_terms, comm_terms in graded:
         if d < dg:
@@ -344,17 +341,17 @@ def subalgebra_filtration(
 ) -> list[DegreeReport]:
     """Compare span-of-products, invariant dimension, and series coefficient.
 
-    The span at degree d is built by dynamic programming: products of a
-    degree-(d-k) span basis with each degree-k generator.  Generators
-    must have rational coefficients.  Each one of degree at most
-    ``max_degree`` has its coefficients cleared to integers once, and
-    the representatives are integer rows, so a product row is a sum of
+    The span at degree d is built by dynamic programming: products of
+    the pivots of the degree-(d-k) echelon, primitive integer rows, with
+    each degree-k generator.  Generators must have rational
+    coefficients.  Each one of degree at most ``max_degree`` has its
+    coefficients cleared to integers once, so a product row is a sum of
     integer rows from cached right-multiplication maps, with no algebra
     product.
 
     The generators with no word part come first, then the others, each
-    in the given order; they multiply only the representatives' word
-    parts (columns <= 0), as a commutator times a commutator is 0.  No
+    in the given order; they multiply only the pivots' word parts
+    (columns <= 0), as a commutator times a commutator is 0.  No
     report moves: a rank ignores row order, the early exit fires only
     at the invariant dimension, and every skipped row is 0.
     """
@@ -377,11 +374,8 @@ def subalgebra_filtration(
         # and no product of one above max_degree is reached
         if 0 < dg <= max_degree:
             ints = cleared[0]
-            graded.append((
-                dg,
-                [(m, ints[m]) for m in g.poly_part.terms],
-                [(m, ints[m]) for m in g.comm_part.terms],
-            ))
+            poly_terms = [(m, ints[m]) for m in g.poly_part.terms]
+            graded.append((dg, poly_terms, [(m, ints[m]) for m in g.comm_part.terms]))
     graded.sort(key=lambda entry: bool(entry[1]))
     series = hilbert_assoc(n).coefficients(max_degree)
     span: dict[int, list[dict[int, int]]] = {}
@@ -390,17 +384,15 @@ def subalgebra_filtration(
     for d in range(max_degree + 1):
         dim_r = dim_invariants_assoc(n, d)
         ech = RowEchelon()
-        reps: list[dict[int, int]] = []
         # the unit, column 0, spans degree 0; the generators are
         # invariant, so once the span has the dimension of the
         # invariants no product can enlarge it
         for row in _product_rows(graded, span, words, d, max_degree + 1) if d else ({0: 1},):
-            if row and ech.insert(_rational_row(row, 1)):
-                reps.append(row)
-                if ech.rank == dim_r:
-                    break
-        span[d] = reps
-        words[d] = [w for s in reps if (w := {j: x for j, x in s.items() if j <= 0})]
+            if row and ech.insert(_rational_row(row, 1)) and ech.rank == dim_r:
+                break
+        span[d] = list(ech.pivots().values())
+        words[d] = [{j: x for j, x in s.items() if j <= 0}
+                    for lead, s in ech.pivots().items() if lead <= 0]
         reports.append(
             DegreeReport(d, dim_r, series[d], ech.rank, dim_r == series[d] == ech.rank)
         )

@@ -8,7 +8,7 @@ the smallest remaining column.
 
 A row is read as its entries' int numerators over the lcm of their
 denominators, with no ``Fraction`` built.  Each stored pivot is a
-primitive integer row with a positive lead, and a step is
+primitive integer row with a positive lead (``pivots()``), and a step is
 row <- b*row - a*pivot, where (a, b) are the two lead entries divided
 by their gcd (Bareiss, Math. Comp. 22, 1968).  The residual is the
 integer row over the product of the b's: the residual of monic elimination.
@@ -17,6 +17,7 @@ integer row over the product of the b's: the residual of monic elimination.
 from __future__ import annotations
 
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .cyclo import CycNum
 from .poly import ONE, ZERO
@@ -106,6 +107,10 @@ class RowEchelon:
     @property
     def rank(self) -> int:
         return len(self._pivots)
+
+    def pivots(self) -> MappingProxyType:
+        """A read-only view of the integer pivots by lead, in insertion order."""
+        return MappingProxyType(self._pivots)
 
     def rows(self) -> list[Row]:
         """The stored pivot rows as monic CycNum rows, by lead column."""

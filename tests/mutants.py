@@ -50,11 +50,11 @@ MUTANTS = [
     Mutant("orbit-pairs-congruence", "invariants.py",
            "(2 * p - e) % n == 0", "(2 * p - e) % n < 2",
            (_INV + "test_trace_count_assoc", _INV + "test_trace_count_lie")),
-    Mutant("orbit-cross-exponent", "invariants.py",
-           "q - 1 - i", "q - i",
+    Mutant("orbit-tau-word-swapped", "invariants.py",
+           "_swap_straighten(p, q)", "_swap_straighten(q, p)",
            (_INV + "test_bases_equal_the_reynolds_orbit_oracle",)),
     Mutant("orbit-halving-dropped", "invariants.py",
-           "c = ONE if p > q else _HALF", "c = ONE",
+           "row if p > q else row.scale(Fraction(1, 2))", "row",
            (_INV + "test_bases_equal_the_reynolds_orbit_oracle",)),
     Mutant("orbit-swap-fixed-kept", "invariants.py",
            "swap(m) < m", "swap(m) <= m",
@@ -62,9 +62,13 @@ MUTANTS = [
     Mutant("comm-count-diagonal", "invariants.py",
            "p * (p + 1) // 2", "(p + 1) * (p + 2) // 2",
            (_INV + "test_trace_count_assoc", _INV + "test_trace_count_comm_block")),
-    # the subalgebra products: commutator-block generators see word parts
+    # the subalgebra products: commutator-block generators see the word
+    # parts of the pivots led by a word column
     Mutant("word-part-unit-dropped", "invariants.py",
            "j <= 0", "j < 0",
+           (_INV + "test_subalgebra_filtration_matches_span_oracle",)),
+    Mutant("word-lead-unit-dropped", "invariants.py",
+           "lead <= 0", "lead < 0",
            (_INV + "test_subalgebra_filtration_matches_span_oracle",)),
     Mutant("lifts-fed-word-parts", "invariants.py",
            "(span if poly_terms else words)", "words",

@@ -217,6 +217,37 @@ def test_mixed_echelon_matches_reference(seed):
         rank_of([_as_cyc(r, 4) for r in before] + [gaussian])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_pivots_are_the_stored_rows_in_insertion_order(seed):
+    # ech reads pivots() before every step; twin never reads it
+    rng = Random(200 + seed)
+    width = 20
+    rows = [_as_cyc(r, 12) for r in _random_rational_rows(rng, 40, width)]
+    queries = [_as_cyc(r, 12) for r in _random_rational_rows(rng, 40, width)]
+    ech, twin = RowEchelon(), RowEchelon()
+    leads = []
+    for row, query in zip(rows, queries):
+        ech.pivots()
+        residual = ech.reduce(row)
+        assert ech.insert(row) == twin.insert(row) == bool(residual)
+        if residual:
+            leads.append(min(residual))
+        ech.pivots()
+        assert ech.reduce(query) == twin.reduce(query)
+    pivots = ech.pivots()
+    assert list(pivots) == leads and pivots == twin.pivots()
+    for lead, piv in pivots.items():
+        assert all(type(v) is int for v in piv.values())
+        assert min(piv) == lead and piv[lead] > 0 and gcd(*piv.values()) == 1
+    # rows() is each pivot over its lead, by lead column
+    assert ech.rows() == [
+        _as_cyc({c: Fraction(v, pivots[lead][lead]) for c, v in pivots[lead].items()}, 12)
+        for lead in sorted(pivots)
+    ]
+    with pytest.raises(TypeError):
+        pivots[width] = {width: 1}
+
+
 def test_integer_step_divides_leads_by_their_gcd():
     ech = RowEchelon()
     assert ech.insert({0: _c(Fraction(4, 3)), 1: _c(Fraction(2, 3))})
