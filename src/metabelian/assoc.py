@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CycNum, accumulate
+from .cyclo import CycNum, accumulate, power
 from .poly import IU1, IU2, IV1, IV2, ONE, CommPoly, _power, uv
 
 __all__ = [
@@ -177,10 +177,8 @@ class MetAssocElem(MetElem):
         return cls(CommPoly.variable(name))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            return self.scale(other)
         if not isinstance(other, MetAssocElem):
-            return NotImplemented
+            return self.__rmul__(other)
         comm: dict[tuple[int, ...], CycNum] = {}
         right_words = other.poly_part.terms.items()
         for (a, b, *_), x in self.poly_part.terms.items():
@@ -200,22 +198,14 @@ class MetAssocElem(MetElem):
         return MetAssocElem(self.poly_part * other.poly_part, CommPoly._make(comm))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
+        if isinstance(other, (CycNum, int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
     def __pow__(self, k: int) -> MetAssocElem:
         if k < 0:
             raise ValueError("negative power in the algebra")
-        result = MetAssocElem.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k, MetAssocElem.one())
 
     def commutator(self, other: MetAssocElem) -> MetAssocElem:
         return self * other - other * self

@@ -7,8 +7,9 @@ positive int coprime to them all, so values of one order are equal
 exactly when (num, den) are.  Arithmetic is exact and on ints: it ends
 in one sparse reduction, ``_reduce`` (Phi_m is monic and integral), and
 one gcd, ``_lowest``; ``coeffs`` is an {exponent: Fraction} view built
-on each read, for printers and checks.  Every sparse sum of the package
-adds its terms through ``accumulate``.
+on each read, for checks.  Every sparse sum of the package adds its
+terms through ``accumulate``, and both algebras' powers come from
+``power``.
 
 Rationals belong to every field.  A rational value of any order, order 1
 included, combines with a value of another order, and the result takes
@@ -33,6 +34,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "imag_unit",
+    "power",
     "root_of_unity",
 ]
 
@@ -105,6 +107,19 @@ def accumulate(out: dict, key, value) -> None:
         out.pop(key, None)
     else:
         out[key] = value
+
+
+def power(x, k: int, one):
+    """x**k for k >= 0 by square-and-multiply: ``one`` at k = 0, and
+    otherwise a product of ``x`` with itself that never multiplies by 1."""
+    if not k:
+        return one
+    result = x
+    for bit in bin(k)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
 
 
 def _reduce(order: int, terms: dict[int, int]) -> dict[int, int]:
@@ -227,11 +242,8 @@ class CycNum:
         return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            out = {e: c * p for e, c in self.num.items()} if p else {}
-            return CycNum._make(self.order, *_lowest(out, self.den * other.denominator))
-        if not isinstance(other, CycNum):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         order = self._common_order(other)
         a, b = self, other
@@ -249,14 +261,8 @@ class CycNum:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> CycNum:
-        if k < 0:
-            return self.inv() ** (-k)
-        result = CycNum.one(self.order)
-        for bit in bin(k)[2:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        x = self.inv() if k < 0 else self
+        return power(x, abs(k), CycNum.one(self.order))
 
     def _galois(self, k: int) -> CycNum:
         """sigma_k: zeta -> zeta^k, for k prime to the order.  It maps
@@ -299,17 +305,18 @@ class CycNum:
             return (self.rational_value(), Fraction(0))
         if self.order % 4:
             return None
-        coeffs, iu = self.coeffs, imag_unit(self.order).coeffs
-        rest = {e: c for e, c in coeffs.items() if e}
-        e = next(iter(rest))
-        if e not in iu:
+        # i is integral, so imag_unit's den is 1
+        num, iu = self.num, imag_unit(self.order).num
+        if num.keys() - {0} != iu.keys() - {0}:
             return None
-        b = rest[e] / iu[e]
-        # a is chosen to match the constant term, so the value is a + b*i
-        # exactly when the other terms match those of b*i
-        if rest != {k: b * c for k, c in iu.items() if k}:
+        e = next(e for e in num if e)
+        p, q = num[e], iu[e]
+        # b = p / (q * den), and a is chosen to match the constant term, so
+        # the value is a + b*i exactly when every other term is in ratio p : q
+        if any(num[k] * q != p * iu[k] for k in num if k):
             return None
-        return (coeffs.get(0, 0) - b * iu.get(0, 0), b)
+        den = q * self.den
+        return (Fraction(num.get(0, 0) * q - p * iu.get(0, 0), den), Fraction(p, den))
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -330,8 +337,8 @@ class CycNum:
 
     def __str__(self) -> str:
         parts = []
-        for e, c in sorted(self.coeffs.items()):
-            body = _fraction_text(abs(c))
+        for e, c in sorted(self.num.items()):
+            body = _fraction_text(Fraction(c, self.den))
             if e:
                 z = f"z({self.order},{e})"
                 body = z if body == "1" else f"{body}*{z}"
@@ -359,9 +366,9 @@ def _int_text(k: int) -> str:
 
 
 def _fraction_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return _int_text(q.numerator)
-    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+    """|q|, for a Fraction or int q."""
+    text = _int_text(abs(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{_int_text(q.denominator)}"
 
 
 def _signed_sum(parts) -> str:

@@ -437,8 +437,8 @@ def _scalar_text(c: CycNum) -> tuple[bool, str]:
     g = c.as_gaussian()
     if g is not None:
         a, b = g
-        real = (a < 0, _fraction_text(abs(a)))
-        imag = (b < 0, "i" if abs(b) == 1 else f"{_fraction_text(abs(b))}*i")
+        real = (a < 0, _fraction_text(a))
+        imag = (b < 0, "i" if b in (1, -1) else f"{_fraction_text(b)}*i")
         if not b:
             return real
         if not a:

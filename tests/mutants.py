@@ -84,6 +84,18 @@ MUTANTS = [
     Mutant("lowest-terms-skipped", "cyclo.py",
            "*_lowest(_reduce(order, out), a.den * b.den)", "_reduce(order, out), a.den * b.den",
            ("tests/test_cyclo.py::test_every_operation_keeps_the_canonical_form",)),
+    # one path per operation: a scalar factor is coerced to a CycNum, an
+    # element product hands a scalar to __rmul__, and one power routine
+    Mutant("coerce-denominator-dropped", "cyclo.py",
+           "num, other.denominator)", "num, 1)",
+           ("tests/test_assoc.py::test_scalars_act_the_same_on_either_side",)),
+    Mutant("power-top-bit-kept", "cyclo.py",
+           "bin(k)[3:]", "bin(k)[2:]",
+           ("tests/test_cyclo.py::test_power_is_the_repeated_product",
+            "tests/test_assoc.py::test_power_is_the_repeated_product")),
+    Mutant("scalar-product-refused", "assoc.py",
+           "return self.__rmul__(other)", "return NotImplemented",
+           ("tests/test_assoc.py::test_scalars_act_the_same_on_either_side",)),
     Mutant("rational-row-unreduced", "linalg.py",
            "g = gcd(v, den)", "g = 1",
            ("tests/test_cyclo.py::test_echelon_entries_keep_the_canonical_form",)),

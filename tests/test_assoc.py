@@ -14,7 +14,7 @@ from metabelian.assoc import (
     commutator,
     from_word,
 )
-from metabelian.cyclo import CycNum
+from metabelian.cyclo import CycNum, imag_unit
 from metabelian.invariants import invariant_generators_assoc
 from metabelian.linalg import _integer_row
 from metabelian.poly import CommPoly, uv
@@ -175,6 +175,38 @@ def test_scalar_and_power():
     assert e * 2 == e + e
     assert e ** 2 == e * e
     assert e ** 0 == MetAssocElem.one()
+
+
+@pytest.mark.parametrize(
+    "s",
+    [3, Fraction(-2, 3), CycNum.from_rational(4, Fraction(5, 2)), imag_unit(4)],
+    ids=["int", "fraction", "rational-cycnum", "i"],
+)
+def test_scalars_act_the_same_on_either_side(s):
+    # an element product hands a scalar factor to __rmul__, so both sides
+    # scale; scaling by s and then by 1/s gives the element back
+    rng = Random(23)
+    for _ in range(10):
+        e = random_assoc(rng)
+        assert s * e == e * s == e.scale(s)
+        assert (e * s) * (Fraction(1) / s) == e
+
+
+def test_factors_that_are_not_scalars_raise_type_error():
+    e = random_assoc(Random(29))
+    for product in (lambda: e * "u", lambda: e * 1.5, lambda: 1.5 * e, lambda: CycNum.one(4) * 1.5):
+        with pytest.raises(TypeError):
+            product()
+
+
+def test_power_is_the_repeated_product():
+    e = random_assoc(Random(31), max_degree=2, terms=3)
+    want = MetAssocElem.one()
+    for k in range(10):
+        assert e ** k == want, k
+        want = want * e
+    with pytest.raises(ValueError, match="negative power"):
+        e ** -1
 
 
 def test_word_concat_randomized():

@@ -263,6 +263,18 @@ def test_gaussian_detection():
                 assert (c + root_of_unity(order, k)).as_gaussian() is None
 
 
+@pytest.mark.parametrize("m", sorted(set(ORDERS) | set(REDUCTION_ORDERS)))
+def test_power_is_the_repeated_product(m):
+    # x**k against the k-fold product, and x**-k against that of x.inv()
+    rng = Random(2200 + m)
+    x = random_cyc(rng, m, nonzero=True)
+    inverse = x.inv()
+    want, want_inverse = CycNum.one(m), CycNum.one(m)
+    for k in range(10):
+        assert x ** k == want and x ** -k == want_inverse, k
+        want, want_inverse = want * x, want_inverse * inverse
+
+
 def test_pow_negative():
     z = root_of_unity(20, 3)
     assert z ** -1 == z.inv()

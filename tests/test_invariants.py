@@ -303,6 +303,21 @@ def test_trace_count_assoc_validation():
         dim_invariants_assoc(3, -1)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda n: subalgebra_filtration(invariant_generators_assoc(3), n),
+        lambda n: module_span_check(comm_module_generators(3), "both", n),
+        minimality_check,
+        cst_sanity,
+    ],
+    ids=["subalgebra_filtration", "module_span_check", "minimality_check", "cst_sanity"],
+)
+def test_checks_refuse_n_below_3(check):
+    with pytest.raises(ValueError, match="need n >= 3"):
+        check(2)
+
+
 def test_trace_count_lie():
     # the count the Lie check uses against the brute-force count, the
     # basis and the series
