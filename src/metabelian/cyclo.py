@@ -301,8 +301,13 @@ class CycNum:
 
     def as_gaussian(self) -> tuple[Fraction, Fraction] | None:
         """Write the value as a + b*i with rational a, b, or None."""
+        g = self._gaussian()
+        return None if g is None else (Fraction(g[0], g[2]), Fraction(g[1], g[2]))
+
+    def _gaussian(self) -> tuple[int, int, int] | None:
+        """(a, b, den) with the value (a + b*i) / den, or None outside Q(i)."""
         if self.is_rational():
-            return (self.rational_value(), Fraction(0))
+            return (self.num.get(0, 0), 0, self.den)
         if self.order % 4:
             return None
         # i is integral, so imag_unit's den is 1
@@ -310,13 +315,12 @@ class CycNum:
         if num.keys() - {0} != iu.keys() - {0}:
             return None
         e = next(e for e in num if e)
-        p, q = num[e], iu[e]
-        # b = p / (q * den), and a is chosen to match the constant term, so
+        p, q = (num[e], iu[e]) if iu[e] > 0 else (-num[e], -iu[e])
+        # b = p / (q * den) with q > 0 and a matches the constant term, so
         # the value is a + b*i exactly when every other term is in ratio p : q
         if any(num[k] * q != p * iu[k] for k in num if k):
             return None
-        den = q * self.den
-        return (Fraction(num.get(0, 0) * q - p * iu.get(0, 0), den), Fraction(p, den))
+        return (num.get(0, 0) * q - p * iu.get(0, 0), p, q * self.den)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -338,7 +342,7 @@ class CycNum:
     def __str__(self) -> str:
         parts = []
         for e, c in sorted(self.num.items()):
-            body = _fraction_text(Fraction(c, self.den))
+            body = _fraction_text(c, self.den)
             if e:
                 z = f"z({self.order},{e})"
                 body = z if body == "1" else f"{body}*{z}"
@@ -365,10 +369,11 @@ def _int_text(k: int) -> str:
     return str(k)
 
 
-def _fraction_text(q: Fraction) -> str:
-    """|q|, for a Fraction or int q."""
-    text = _int_text(abs(q.numerator))
-    return text if q.denominator == 1 else f"{text}/{_int_text(q.denominator)}"
+def _fraction_text(num: int, den: int) -> str:
+    """|num / den| in lowest terms, for ints num and den > 0."""
+    g = gcd(num, den)
+    text = _int_text(abs(num) // g)
+    return text if den == g else f"{text}/{_int_text(den // g)}"
 
 
 def _signed_sum(parts) -> str:

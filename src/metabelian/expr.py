@@ -434,11 +434,11 @@ def _evaluate(node, leaves: dict[str, MetAssocElem]) -> MetAssocElem:
 def _scalar_text(c: CycNum) -> tuple[bool, str]:
     """Render a coefficient as (negate, body); body is grammar-parseable
     whenever the value lies in Q(i)."""
-    g = c.as_gaussian()
+    g = c._gaussian()
     if g is not None:
-        a, b = g
-        real = (a < 0, _fraction_text(a))
-        imag = (b < 0, "i" if b in (1, -1) else f"{_fraction_text(b)}*i")
+        a, b, den = g
+        real = (a < 0, _fraction_text(a, den))
+        imag = (b < 0, "i" if abs(b) == den else f"{_fraction_text(b, den)}*i")
         if not b:
             return real
         if not a:

@@ -25,20 +25,22 @@ Nothing uses a tolerance; a report is ok when the numbers agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import assoc
 from .assoc import MetAssocElem, _comm_monomial, _word_times, basis_monomials, uv_monomials
 from .cyclo import CycNum, accumulate
 from .dihedral import _swap_straighten, reynolds_assoc, reynolds_lie, reynolds_uv, swap
 from .lie import MetLieElem
-from .linalg import RowEchelon, _integer_row, _rational_row, express_in_span
+from .linalg import RowEchelon, _integer_row, _rational_row
 from .poly import (
     IU1,
     IU2,
     ONE,
+    ZERO,
     CommPoly,
     RationalSeries,
     intpoly_add,
@@ -97,6 +99,13 @@ def default_max_degree(n: int) -> int:
     return 2 * n + 4
 
 
+def _degree_bound(n: int, max_degree: int | None = None) -> int:
+    """``max_degree``, or 2n + 4 when it is None; ValueError unless n >= 3."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    return default_max_degree(n) if max_degree is None else max_degree
+
+
 # ----------------------------------------------------------------------
 # Invariant bases and dimensions from the tau-orbits
 # ----------------------------------------------------------------------
@@ -149,9 +158,7 @@ def _invariant_rows_lie(n: int, d: int) -> tuple[MetLieElem, ...]:
 
 
 def _check_degree(n: int, d: int) -> None:
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if d < 0:
+    if _degree_bound(n, d) < 0:
         raise ValueError("degree must be nonnegative")
 
 
@@ -305,35 +312,45 @@ def corner_generator_relation(n: int) -> tuple[MetAssocElem, MetAssocElem]:
 
 
 # ----------------------------------------------------------------------
-# Subalgebra generation check
+# The degreewise comparison, and the subalgebra generation check
 # ----------------------------------------------------------------------
 
-def _product_rows(graded, span: dict, words: dict, d: int, base: int):
-    """The integer rows of s * g, generator by generator, each s a pivot
-    of degree d - deg(g), in the order of ``graded``.
+def _graded(gens, shift: int, invariant) -> list[tuple[int, object, dict]]:
+    """(degree + shift, generator, its coefficients cleared to integers)
+    for each generator, in order.  ValueError unless every generator,
+    whatever its degree, is homogeneous and nonzero, fixed by
+    ``invariant`` when one is given, and rational."""
+    graded = []
+    for g in gens:
+        dg = g.homogeneous_degree()
+        if dg is None:
+            raise ValueError("generators must be homogeneous and nonzero")
+        if invariant is not None and not invariant(g):
+            raise ValueError("generators must be invariant")
+        terms = g.terms if isinstance(g, CommPoly) else g.poly_part.terms | g.comm_part.terms
+        if (cleared := _integer_row(terms)) is None:
+            raise ValueError("generators must have rational coefficients")
+        graded.append((dg + shift, g, cleared[0]))
+    return graded
 
-    Rows are keyed by ``assoc._column`` in ``base``, so a column is its
-    basis word.  s * g is the sum of s[j] times the image of the word j
-    under right multiplication by g.  The images come from the closed
-    form ``assoc._word_times`` and are kept in one map per generator and
-    source degree, filled as the pivots reach their columns.  A
-    commutator times a commutator is 0, so a generator with no word part
-    multiplies only ``words``, the word parts of the pivots led by a
-    word column: word columns sort first, so no other pivot has one.
-    """
-    for dg, poly_terms, comm_terms in graded:
-        if d < dg:
-            continue
-        images: dict[int, dict[int, int]] = {}
-        for s in (span if poly_terms else words).get(d - dg, ()):
-            row: dict[int, int] = {}
-            for j, x in s.items():
-                image = images.get(j)
-                if image is None:
-                    image = images[j] = _word_times(j, base, poly_terms, comm_terms)
-                for c, y in image.items():
-                    accumulate(row, c, x * y)
-            yield row
+
+def _compare(max_degree: int, dims, series, rows, echelons=None) -> list[DegreeReport]:
+    """One report per degree d <= max_degree: the target dimension
+    dims(d), the coefficient of ``series`` and the rank of the rows
+    ``rows(d)``.  Every row lies in the degree-d target space, so the
+    rows stop once the rank is dims(d).  The echelon of each degree is
+    appended to ``echelons`` when it is given, for later rows to read."""
+    reports = []
+    for d, coeff in enumerate(series.coefficients(max_degree)):
+        dim = dims(d)
+        ech = RowEchelon()
+        for row in rows(d):
+            if row and ech.insert(row) and ech.rank == dim:
+                break
+        if echelons is not None:
+            echelons.append(ech)
+        reports.append(DegreeReport(d, dim, coeff, ech.rank, dim == coeff == ech.rank))
+    return reports
 
 
 def subalgebra_filtration(
@@ -346,57 +363,56 @@ def subalgebra_filtration(
     each degree-k generator.  Generators must have rational
     coefficients.  Each one of degree at most ``max_degree`` has its
     coefficients cleared to integers once, so a product row is a sum of
-    integer rows from cached right-multiplication maps, with no algebra
-    product.
+    integer rows with no algebra product.  Rows are keyed by
+    ``assoc._column`` in base max_degree + 1, so a column is its basis
+    word, and s * g is the sum of s[j] times the image of the word j
+    under right multiplication by g.  The images come from the closed
+    form ``assoc._word_times`` and are kept in one map per generator and
+    source degree, filled as the pivots reach their columns.
 
     The generators with no word part come first, then the others, each
-    in the given order; they multiply only the pivots' word parts
-    (columns <= 0), as a commutator times a commutator is 0.  No
-    report moves: a rank ignores row order, the early exit fires only
-    at the invariant dimension, and every skipped row is 0.
+    in the given order.  As a commutator times a commutator is 0, the
+    former multiply only the word parts (columns <= 0) of the pivots led
+    by a word column, the only pivots with one since word columns sort
+    first; a source degree's word parts are cut once.  No report moves:
+    a rank ignores row order, and every skipped row is 0.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if max_degree is None:
-        max_degree = default_max_degree(n)
-    # (degree, u^a v^b terms, commutator terms) with integer coefficients
-    graded: list[tuple[int, list, list]] = []
-    for g in gens:
-        dg = g.homogeneous_degree()
-        if dg is None:
-            raise ValueError("generators must be homogeneous and nonzero")
-        if reynolds_assoc(n, g) != g:
-            raise ValueError("generators must be invariant")
-        cleared = _integer_row(g.poly_part.terms | g.comm_part.terms)
-        if cleared is None:
-            raise ValueError("generators must have rational coefficients")
-        # degree-0 generators are constants, already in the subalgebra,
-        # and no product of one above max_degree is reached
-        if 0 < dg <= max_degree:
-            ints = cleared[0]
-            poly_terms = [(m, ints[m]) for m in g.poly_part.terms]
-            graded.append((dg, poly_terms, [(m, ints[m]) for m in g.comm_part.terms]))
+    max_degree = _degree_bound(n, max_degree)
+    # (degree, u^a v^b terms, commutator terms) with integer coefficients;
+    # degree-0 generators are constants, already in the subalgebra, and
+    # no product of one above max_degree is reached
+    graded = [
+        (dg, [(m, ints[m]) for m in g.poly_part.terms], [(m, ints[m]) for m in g.comm_part.terms])
+        for dg, g, ints in _graded(gens, 0, lambda g: reynolds_assoc(n, g) == g)
+        if 0 < dg <= max_degree
+    ]
     graded.sort(key=lambda entry: bool(entry[1]))
-    series = hilbert_assoc(n).coefficients(max_degree)
-    span: dict[int, list[dict[int, int]]] = {}
+    echelons: list[RowEchelon] = []
     words: dict[int, list[dict[int, int]]] = {}
-    reports = []
-    for d in range(max_degree + 1):
-        dim_r = dim_invariants_assoc(n, d)
-        ech = RowEchelon()
-        # the unit, column 0, spans degree 0; the generators are
-        # invariant, so once the span has the dimension of the
-        # invariants no product can enlarge it
-        for row in _product_rows(graded, span, words, d, max_degree + 1) if d else ({0: 1},):
-            if row and ech.insert(_rational_row(row, 1)) and ech.rank == dim_r:
-                break
-        span[d] = list(ech.pivots().values())
-        words[d] = [{j: x for j, x in s.items() if j <= 0}
-                    for lead, s in ech.pivots().items() if lead <= 0]
-        reports.append(
-            DegreeReport(d, dim_r, series[d], ech.rank, dim_r == series[d] == ech.rank)
-        )
-    return reports
+
+    def rows(d):
+        if not d:
+            yield {0: ONE}  # the unit, column 0, spans degree 0
+        for dg, poly_terms, comm_terms in graded:
+            k = d - dg
+            if k < 0:
+                continue
+            if k not in words:
+                words[k] = [{j: x for j, x in s.items() if j <= 0}
+                            for lead, s in echelons[k].pivots().items() if lead <= 0]
+            images: dict[int, dict[int, int]] = {}
+            for s in echelons[k].pivots().values() if poly_terms else words[k]:
+                row: dict[int, int] = {}
+                for j, x in s.items():
+                    image = images.get(j)
+                    if image is None:
+                        image = images[j] = _word_times(j, max_degree + 1, poly_terms, comm_terms)
+                    for c, y in image.items():
+                        accumulate(row, c, x * y)
+                yield _rational_row(row, 1)
+
+    dims = partial(dim_invariants_assoc, n)
+    return _compare(max_degree, dims, hilbert_assoc(n), rows, echelons)
 
 
 # ----------------------------------------------------------------------
@@ -437,51 +453,30 @@ def module_span_check(
     rational coefficients, and on the "both" and "right" sides every one
     must be fixed by its Reynolds projection; ValueError otherwise.
     """
-    if side not in ("left", "right", "both"):
+    # the invariance tests look the projections up when they run, so a
+    # rebinding of the module's reynolds_lie or reynolds_assoc is seen
+    cuv = hilbert_cuv(n)
+    if side == "left":
+        shift, invariant, ring, series, dims = 0, None, _cuv_invariant_polys, cuv, lambda d: d + 1
+    elif side == "right":
+        def invariant(z):
+            return reynolds_lie(n, e := MetLieElem.from_comm(z)) == e
+        shift, ring, series, dims = 2, _cuv_invariant_polys, cuv, partial(dim_invariants_lie, n)
+    elif side == "both":
+        def invariant(z):
+            return reynolds_assoc(n, e := MetAssocElem.from_comm(z)) == e
+        shift, ring, series = 2, _tensor_invariant_polys, cuv * cuv
+        dims = partial(_comm_invariant_count, n)
+    else:
         raise ValueError(f"side must be left, right or both, not {side!r}")
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if max_degree is None:
-        max_degree = default_max_degree(n)
-    shift = 0 if side == "left" else 2
-    graded: list[tuple[int, CommPoly]] = []
-    counts: dict[int, int] = {}
-    for z in module_gens:
-        dz = z.homogeneous_degree()
-        if dz is None:
-            raise ValueError("module generators must be homogeneous and nonzero")
-        if side != "left":
-            e = (MetLieElem if side == "right" else MetAssocElem).from_comm(z)
-            if (reynolds_lie if side == "right" else reynolds_assoc)(n, e) != e:
-                raise ValueError("module generators must be invariant")
-        dz += shift
-        graded.append((dz, z))
-        if dz <= max_degree:
-            accumulate(counts, dz, 1)
-    coeff_series = hilbert_cuv(n)
-    if side == "both":
-        coeff_series = coeff_series * coeff_series
-    predicted = (RationalSeries(counts) * coeff_series).coefficients(max_degree)
+    max_degree = _degree_bound(n, max_degree)
+    graded = _graded(module_gens, shift, invariant)
+    counts = Counter(dz for dz, _, _ in graded if dz <= max_degree)
 
-    reports = []
-    for d in range(max_degree + 1):
-        ech = RowEchelon()
-        for dz, z in graded:
-            e = d - dz
-            if e < 0:
-                continue
-            ring = _tensor_invariant_polys if side == "both" else _cuv_invariant_polys
-            for cpoly in ring(n, e):
-                ech.insert((cpoly * z).terms)
-        if side == "left":
-            target = d + 1
-        elif side == "both":
-            target = _comm_invariant_count(n, d)
-        else:
-            target = dim_invariants_lie(n, d)
-        ok = ech.rank == predicted[d] == target
-        reports.append(DegreeReport(d, target, predicted[d], ech.rank, ok))
-    return reports
+    def rows(d):
+        return ((cpoly * z).terms for dz, z, _ in graded if dz <= d for cpoly in ring(n, d - dz))
+
+    return _compare(max_degree, dims, RationalSeries(counts) * series, rows)
 
 
 def lie_suite(n: int, max_degree: int | None = None) -> list[DegreeReport]:
@@ -516,23 +511,23 @@ class MinimalityReport:
 def minimality_check(n: int, max_degree: int | None = None) -> MinimalityReport:
     """Show one degree-(n+2) generator is redundant but no two are.
 
-    (a) solve exactly for [uv+vu, u^n+v^n] as a combination of the n+1
-    degree-(n+2) module generators, (b) rerun the generation check with
-    any single one removed, (c) confirm that removing any two drops the
-    achieved dimension at degree n+2.
+    (a) write [uv+vu, u^n+v^n] as a combination of the n+1 degree-(n+2)
+    module generators: generator a is the only one with the monomial
+    u1^a u2^(n-a), so its coefficient is the commutator's there, and the
+    combination is rebuilt and compared, (b) rerun the generation check
+    with any single one removed, (c) confirm that removing any two drops
+    the achieved dimension at degree n+2.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if max_degree is None:
-        max_degree = default_max_degree(n)
+    max_degree = _degree_bound(n, max_degree)
     gens = invariant_generators_assoc(n)
     target = gens[0].commutator(gens[1])
     axis = comm_module_generators(n)[: n + 1]
 
     d = n + 2
-    assert target.poly_part.is_zero()
-    coeffs = express_in_span([h.terms for h in axis], target.comm_part.terms)
-    if coeffs is None:
+    terms = target.comm_part.terms
+    coeffs = [terms.get(_comm_monomial(a, 0, n - a, 0), ZERO) for a in range(n + 1)]
+    rebuilt = sum((h.scale(c) for c, h in zip(coeffs, axis)), CommPoly.zero())
+    if MetAssocElem.from_comm(rebuilt) != target:
         raise ArithmeticError("the commutator of the lifts left the module span")
 
     # generation survival means the span keeps matching the invariant
@@ -589,8 +584,7 @@ def cst_sanity(n: int) -> CstReport:
     (P0 + tau P0) f / 2 = f, so no group element is listed and no
     rotation is applied.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _degree_bound(n)
     f1 = CommPoly.term(uv(1, 1), ONE)
     f2 = CommPoly({uv(n, 0): ONE, uv(0, n): ONE})
     fixed = all(reynolds_uv(n, f) == f for f in (f1, f2))

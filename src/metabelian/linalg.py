@@ -20,9 +20,8 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .cyclo import CycNum
-from .poly import ONE, ZERO
 
-__all__ = ["RowEchelon", "express_in_span", "rank_of"]
+__all__ = ["RowEchelon", "rank_of"]
 
 Row = dict
 
@@ -124,21 +123,3 @@ def rank_of(rows) -> int:
         ech.insert(row)
     return ech.rank
 
-
-def express_in_span(rows: list[Row], target: Row) -> list[CycNum] | None:
-    """Exact coefficients writing target as a combination of rows, or None.
-
-    Cofactors ride along as tracking columns past every data column:
-    data column c becomes (0, c), row j gets column (1, j) and the target
-    column (1, -1).  Reduction never scales the target, so once its
-    residual has no data column left it reads target - sum_j c_j * row_j,
-    with -c_j at column (1, j).  Rows and target must be rational
-    (ValueError).
-    """
-    ech = RowEchelon()
-    for j, row in enumerate(rows):
-        ech.insert({(0, c): v for c, v in row.items()} | {(1, j): ONE})
-    res = ech.reduce({(0, c): v for c, v in target.items()} | {(1, -1): ONE})
-    if min(res)[0] == 0:
-        return None
-    return [-res.get((1, j), ZERO) for j in range(len(rows))]

@@ -71,8 +71,18 @@ MUTANTS = [
            "lead <= 0", "lead < 0",
            (_INV + "test_subalgebra_filtration_matches_span_oracle",)),
     Mutant("lifts-fed-word-parts", "invariants.py",
-           "(span if poly_terms else words)", "words",
+           "echelons[k].pivots().values() if poly_terms else words[k]", "words[k]",
            (_INV + "test_subalgebra_filtration_matches_span_oracle",)),
+    # one generator check: every generator is refused up front, also one
+    # whose rows the early exit never inserts
+    Mutant("graded-rationality-dropped", "invariants.py",
+           'raise ValueError("generators must have rational coefficients")',
+           "cleared = ({}, 1)",
+           (_INV + "test_module_span_check_rejects_non_rational_generators_past_a_full_span",)),
+    # the decomposition read off the axis generators' supports is rebuilt
+    Mutant("minimality-rebuild-inverted", "invariants.py",
+           "MetAssocElem.from_comm(rebuilt) != target", "MetAssocElem.from_comm(rebuilt) == target",
+           (_INV + "test_minimality_check",)),
     # the sparse reduction modulo Phi_m
     Mutant("reduce-phi-coefficient", "cyclo.py",
            "-c * phi[j]", "-c",
@@ -96,6 +106,10 @@ MUTANTS = [
     Mutant("scalar-product-refused", "assoc.py",
            "return self.__rmul__(other)", "return NotImplemented",
            ("tests/test_assoc.py::test_scalars_act_the_same_on_either_side",)),
+    # the printer reads a + b*i as ints over a positive denominator
+    Mutant("gaussian-denominator-sign", "cyclo.py",
+           "if iu[e] > 0 else (-num[e], -iu[e])", "if True else (-num[e], -iu[e])",
+           ("tests/test_expr.py::test_gaussian_coefficients_print_in_lowest_terms",)),
     Mutant("rational-row-unreduced", "linalg.py",
            "g = gcd(v, den)", "g = 1",
            ("tests/test_cyclo.py::test_echelon_entries_keep_the_canonical_form",)),

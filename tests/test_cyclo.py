@@ -14,7 +14,7 @@ from metabelian.cyclo import (
     imag_unit,
     root_of_unity,
 )
-from metabelian.linalg import RowEchelon, express_in_span, rank_of
+from metabelian.linalg import RowEchelon, rank_of
 from metabelian.poly import ONE
 from helpers import cyc_mul_oracle, cyc_oracle, random_cyc
 
@@ -363,10 +363,9 @@ def test_every_operation_keeps_the_canonical_form(data):
     st.lists(
         st.dictionaries(st.integers(0, 5), _Q, min_size=1, max_size=4), min_size=1, max_size=6
     ),
-    st.lists(_Q, min_size=6, max_size=6),
     st.dictionaries(st.integers(0, 5), _Q, max_size=4),
 )
-def test_echelon_entries_keep_the_canonical_form(m, rows, weights, query):
+def test_echelon_entries_keep_the_canonical_form(m, rows, query):
     def cyc_row(terms):
         return {c: CycNum.from_rational(m, v) for c, v in terms.items() if v}
 
@@ -384,17 +383,3 @@ def test_echelon_entries_keep_the_canonical_form(m, rows, weights, query):
     # query minus its residual lies in the row space
     moved = cyc_row(_sum(query, {c: -v.rational_value() for c, v in residual.items()}))
     assert rank_of(rows + [moved]) == ech.rank
-    # a combination of the rows is written back in them exactly
-    def combination(scalars):
-        return _sum(*(
-            {col: q * v.rational_value() for col, v in row.items()}
-            for row, q in zip(rows, scalars)
-        ))
-
-    target = cyc_row(combination(weights))
-    coeffs = express_in_span(rows, target)
-    assert coeffs is not None
-    for c in coeffs:
-        _assert_canonical(c)
-    got = combination([c.rational_value() for c in coeffs])
-    assert cyc_row(got) == target

@@ -107,6 +107,24 @@ def test_print_examples():
     assert print_elem(eval_assoc(parse("v*u"))) == "u*v + [v,u]"
 
 
+@pytest.mark.parametrize("order", [4, 12, 20, 420])
+def test_gaussian_coefficients_print_in_lowest_terms(order):
+    # at order 420, i reduces to several terms and its constant-free
+    # coefficients can be negative, so a + b*i is read with a sign change
+    i = imag_unit(order)
+    cases = [
+        (Fraction(1, 2), 3, "u + (1/2 + 3*i)*v"),
+        (Fraction(-2, 3), -1, "u + (-2/3 - i)*v"),
+        (0, Fraction(-4, 6), "u - 2/3*i*v"),
+        (Fraction(10, 4), 0, "u + 5/2*v"),
+        (0, 1, "u + i*v"),
+    ]
+    for a, b, text in cases:
+        c = CycNum.from_rational(order, a) + i * b
+        e = MetAssocElem.letter("u") + MetAssocElem.letter("v").scale(c)
+        assert print_elem(e) == text, (a, b)
+
+
 def test_print_lie():
     e = MetLieElem.generator("u") + MetLieElem.from_comm(
         CommPoly.term(uv(2, 1), CycNum.from_rational(4, 3))

@@ -308,10 +308,21 @@ def test_trace_count_assoc_validation():
     [
         lambda n: subalgebra_filtration(invariant_generators_assoc(3), n),
         lambda n: module_span_check(comm_module_generators(3), "both", n),
+        lambda n: module_span_check(cuv_module_generators(3), "left", n),
+        lambda n: module_span_check([lie_module_generator(3)], "right", n),
+        lie_suite,
         minimality_check,
         cst_sanity,
     ],
-    ids=["subalgebra_filtration", "module_span_check", "minimality_check", "cst_sanity"],
+    ids=[
+        "subalgebra_filtration",
+        "module_span_check",
+        "module_span_check-left",
+        "module_span_check-right",
+        "lie_suite",
+        "minimality_check",
+        "cst_sanity",
+    ],
 )
 def test_checks_refuse_n_below_3(check):
     with pytest.raises(ValueError, match="need n >= 3"):
@@ -504,6 +515,22 @@ def test_module_span_check_rejects_non_rational_generators():
         module_span_check([iu], "left", 3, 4)
 
 
+def test_module_span_check_rejects_non_rational_generators_past_a_full_span():
+    # each set fills every degree before its last generator, whose rows
+    # the early exit never inserts: the generator is refused up front
+    n, i = 3, imag_unit(ambient_order(3))
+    cases = {
+        "left": cuv_module_generators(n),
+        "right": [lie_module_generator(n)],
+        "both": comm_module_generators(n),
+    }
+    for side, gens in cases.items():
+        reports = module_span_check(gens, side, n, 10)
+        assert all(r.dim_generated == r.dim_reynolds for r in reports)
+        with pytest.raises(ValueError, match="rational"):
+            module_span_check(gens + [gens[-1].scale(i)], side, n, 10)
+
+
 def test_module_span_check_rejects_non_invariant_generators():
     # a rank comparison proves nothing about generators that are not
     # invariant: each set below reaches every rank, so each reported ok
@@ -555,17 +582,33 @@ def test_minimality_check():
 
 
 def test_decomposition_solves_the_linear_system():
-    # independent check of the solver output at degree n+2
-    n = 3
-    order = ambient_order(n)
-    gens = invariant_generators_assoc(n)
-    target = gens[0].commutator(gens[1]).comm_part
-    axis = comm_module_generators(n)[: n + 1]
-    rebuilt = CommPoly.zero()
-    rep = minimality_check(n)
-    for coeff, g in zip(rep.decomposition, axis):
-        rebuilt = rebuilt + g.scale(coeff)
-    assert rebuilt == target
+    # independent check of the decomposition at degree n+2
+    for n in range(3, 9):
+        gens = invariant_generators_assoc(n)
+        target = gens[0].commutator(gens[1])
+        axis = comm_module_generators(n)[: n + 1]
+        rebuilt = CommPoly.zero()
+        rep = minimality_check(n)
+        assert len(rep.decomposition) == n + 1
+        for coeff, g in zip(rep.decomposition, axis):
+            rebuilt = rebuilt + g.scale(coeff)
+        assert MetAssocElem.from_comm(rebuilt) == target, n
+
+
+def test_minimality_check_refuses_a_commutator_outside_the_span(monkeypatch):
+    # with the a = 1 axis generator's sign changed the commutator of the
+    # lifts is no combination of the axis generators, and no
+    # decomposition is reported
+    original = invariants.comm_module_generators
+
+    def changed(n):
+        gens = original(n)
+        gens[1] = CommPoly({m: ONE for m in gens[1].terms})
+        return gens
+
+    monkeypatch.setattr(invariants, "comm_module_generators", changed)
+    with pytest.raises(ArithmeticError, match="left the module span"):
+        minimality_check(3)
 
 
 def test_cst_sanity():

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from metabelian.cyclo import CycNum, imag_unit
-from metabelian.linalg import RowEchelon, express_in_span, rank_of
+from metabelian.linalg import RowEchelon, rank_of
 from metabelian.poly import uv
 
 
@@ -27,41 +27,6 @@ def test_echelon_incremental():
     assert ech.insert({2: one})
     assert ech.rank == 2
     assert not ech.insert({0: _c(5), 2: _c(7)})
-
-
-def test_express_in_span():
-    one = CycNum.one(4)
-    i = imag_unit(4)
-    g0 = {0: one, 1: _c(2)}
-    g1 = {1: one, 2: one}
-    # 2*g0 - 3/2*g1
-    target = {0: _c(2), 1: _c(Fraction(5, 2)), 2: _c(Fraction(-3, 2))}
-    assert express_in_span([g0, g1], target) == [_c(2), _c(Fraction(-3, 2))]
-    # the same rows with monomial columns u^2, u*v, v^2
-    cols = (uv(2, 0), uv(1, 1), uv(0, 2))
-    tuple_rows = [{cols[c]: x for c, x in r.items()} for r in (g0, g1, target)]
-    assert express_in_span(tuple_rows[:2], tuple_rows[2]) == [_c(2), _c(Fraction(-3, 2))]
-    assert express_in_span(tuple_rows[:1], tuple_rows[2]) is None
-    # 2*g0 + i*g1 has a non-rational entry, as does a generator here
-    with pytest.raises(ValueError):
-        express_in_span([g0, g1], {0: _c(2), 1: _c(4) + i, 2: i})
-    with pytest.raises(ValueError):
-        express_in_span([g0, {1: one, 2: i}], target)
-
-
-def test_express_in_span_failure():
-    one = CycNum.one(4)
-    assert express_in_span([{0: one}], {1: one}) is None
-
-
-def test_express_handles_dependent_generators():
-    one = CycNum.one(4)
-    g0 = {0: one}
-    g1 = {0: _c(2)}
-    coeffs = express_in_span([g0, g1], {0: _c(6)})
-    assert coeffs is not None
-    total = coeffs[0] * 1 + coeffs[1] * 2
-    assert total == _c(6)
 
 
 # ----------------------------------------------------------------------
