@@ -28,7 +28,6 @@ unity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,18 +53,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DihedralElement:
-    """tau^flip rho^rot in the symmetry group of the regular n-gon."""
+    """tau^flip rho^rot in the symmetry group of the regular n-gon; frozen."""
 
-    n: int
-    rot: int = 0
-    flip: bool = False
+    __slots__ = ("n", "rot", "flip")
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __init__(self, n: int, rot: int = 0, flip: bool = False):
+        if n < 3:
             raise ValueError("dihedral groups here need n >= 3")
-        object.__setattr__(self, "rot", self.rot % self.n)
+        for name, value in (("n", n), ("rot", rot % n), ("flip", flip)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple[int, int, bool]:
+        return self.n, self.rot, self.flip
+
+    def __eq__(self, other):
+        return type(other) is DihedralElement and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"DihedralElement(n={self.n!r}, rot={self.rot!r}, flip={self.flip!r})"
 
     def __mul__(self, other: DihedralElement) -> DihedralElement:
         """Composition, applying ``other`` first."""

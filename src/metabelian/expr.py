@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -78,52 +78,59 @@ class ExprSyntaxError(ValueError):
 # Syntax trees
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Binary:
-    left: object
-    right: object
+class _Node(tuple):
+    """A frozen syntax-tree node, the tuple of its fields: it equals a node
+    of its own type with equal fields and nothing else, and hashes as that
+    tuple."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
+class _Binary(_Node, namedtuple("_Binary", "left right")):
+    __slots__ = ()
 
 
 class Sum(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Difference(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Product(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Bracket(_Binary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
+class Power(_Node, namedtuple("Power", "base exponent")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(_Node, namedtuple("Variable", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RationalLit:
-    value: Fraction
+class RationalLit(_Node, namedtuple("RationalLit", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ImagLit:
-    pass
+class ImagLit(_Node, namedtuple("ImagLit", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Group:
-    inner: object
+class Group(_Node, namedtuple("Group", "inner")):
+    __slots__ = ()
 
 
 # ----------------------------------------------------------------------
@@ -135,11 +142,7 @@ _PUNCT = "+-*^()[],/"
 _DIGITS = "0123456789"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -26,7 +26,6 @@ Nothing uses a tolerance; a report is ok when the numbers agree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -73,15 +72,29 @@ __all__ = [
 ]
 
 
-@dataclass
-class DegreeReport:
+class _Record:
+    """A report: the fields its ``__init__`` sets, compared and printed in
+    that order.  It defines ``__eq__`` and is mutable, so it is unhashable."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class DegreeReport(_Record):
     """One degree of a three-way dimension comparison."""
 
-    degree: int
-    dim_reynolds: int
-    dim_series: int
-    dim_generated: int | None
-    ok: bool
+    def __init__(
+        self, degree: int, dim_reynolds: int, dim_series: int, dim_generated: int | None, ok: bool
+    ):
+        self.degree = degree
+        self.dim_reynolds = dim_reynolds
+        self.dim_series = dim_series
+        self.dim_generated = dim_generated
+        self.ok = ok
 
     def as_dict(self) -> dict:
         return {
@@ -491,13 +504,20 @@ def lie_suite(n: int, max_degree: int | None = None) -> list[DegreeReport]:
 # Minimality of the generating set
 # ----------------------------------------------------------------------
 
-@dataclass
-class MinimalityReport:
-    n: int
-    decomposition: list[CycNum]
-    single_removal_ok: list[bool]
-    double_removal_failures: list[tuple[tuple[int, int], int, int]]
-    double_removal_all_fail: bool
+class MinimalityReport(_Record):
+    def __init__(
+        self,
+        n: int,
+        decomposition: list[CycNum],
+        single_removal_ok: list[bool],
+        double_removal_failures: list[tuple[tuple[int, int], int, int]],
+        double_removal_all_fail: bool,
+    ):
+        self.n = n
+        self.decomposition = decomposition
+        self.single_removal_ok = single_removal_ok
+        self.double_removal_failures = double_removal_failures
+        self.double_removal_all_fail = double_removal_all_fail
 
     @property
     def ok(self) -> bool:
@@ -555,15 +575,24 @@ def minimality_check(n: int, max_degree: int | None = None) -> MinimalityReport:
 # Reflection-group bookkeeping
 # ----------------------------------------------------------------------
 
-@dataclass
-class CstReport:
-    n: int
-    degrees: tuple[int, int]
-    group_order: int
-    degree_product: int
-    reflection_count: int
-    reflection_degree_sum: int
-    fundamental_invariants_fixed: bool
+class CstReport(_Record):
+    def __init__(
+        self,
+        n: int,
+        degrees: tuple[int, int],
+        group_order: int,
+        degree_product: int,
+        reflection_count: int,
+        reflection_degree_sum: int,
+        fundamental_invariants_fixed: bool,
+    ):
+        self.n = n
+        self.degrees = degrees
+        self.group_order = group_order
+        self.degree_product = degree_product
+        self.reflection_count = reflection_count
+        self.reflection_degree_sum = reflection_degree_sum
+        self.fundamental_invariants_fixed = fundamental_invariants_fixed
 
     @property
     def ok(self) -> bool:

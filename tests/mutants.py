@@ -134,6 +134,14 @@ MUTANTS = [
     Mutant("reynolds-weight-unreduced", "dihedral.py",
            "not rotation_weight(m) % n", "not rotation_weight(m)",
            ("tests/test_dihedral.py",)),
+    # the plain record types: a node equals a node of its own type only,
+    # and a group element stores its rotation mod n
+    Mutant("node-equality-ignores-type", "expr.py",
+           "type(other) is type(self) and tuple.__eq__(self, other)", "tuple.__eq__(self, other)",
+           ("tests/test_expr.py::test_nodes_are_frozen_records_of_their_type",)),
+    Mutant("dihedral-rotation-unreduced", "dihedral.py",
+           '("rot", rot % n)', '("rot", rot)',
+           ("tests/test_dihedral.py::test_dihedral_element_is_a_frozen_record",)),
 ]
 
 

@@ -119,6 +119,21 @@ def test_canon_deep_nesting_exit_2(depth, brackets):
     assert "Traceback" not in proc.stderr
 
 
+def test_import_loads_no_dataclasses():
+    # every check runs in a fresh interpreter, so the import is part of
+    # its cost; dataclasses alone would pull in inspect and ast
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import sys, metabelian.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("op,expected", [("+", "3000*u"), ("*", "u^3000")])
 def test_canon_long_flat_chain(op, expected):
     # a flat chain has nesting depth 0 but parses into a left-nested tree

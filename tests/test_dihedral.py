@@ -38,6 +38,27 @@ def test_group_sizes():
         group_elements(2)
 
 
+def test_dihedral_element_is_a_frozen_record():
+    # the rotation is stored mod n, so equal group elements compare and
+    # hash equal and look up the same dict entry
+    a, b = DihedralElement(3, 4), DihedralElement(3, 1)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert {a: "rho"}[b] == "rho"
+    assert DihedralElement(3, 1) != DihedralElement(3, 1, True)
+    assert DihedralElement(3, 1) != DihedralElement(6, 1)
+    assert DihedralElement(3, 1) != (3, 1, False)
+    assert repr(DihedralElement(5, -1, True)) == "DihedralElement(n=5, rot=4, flip=True)"
+    assert DihedralElement(4) == DihedralElement(n=4, rot=0, flip=False)
+    for name in ("n", "rot", "flip", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.rot == 1
+    with pytest.raises(ValueError, match="n >= 3"):
+        DihedralElement(2, 1)
+
+
 def test_reflections_are_involutions():
     for n in (3, 4, 5):
         for k in range(n):

@@ -11,6 +11,7 @@ from metabelian.expr import (
     Difference,
     ExprSyntaxError,
     Group,
+    ImagLit,
     Power,
     Product,
     RationalLit,
@@ -44,6 +45,41 @@ def test_parse_shapes():
     u, v = Variable("u"), Variable("v")
     assert parse("u*v") == Product(u, v) != Sum(u, v)
     assert repr(parse("u+v")) == "Sum(left=Variable(name='u'), right=Variable(name='v'))"
+
+
+_U, _V = Variable("u"), Variable("v")
+# every node type, built twice from equal fields, with the repr of each
+_NODES = [
+    (lambda: Sum(_U, _V), "Sum(left=Variable(name='u'), right=Variable(name='v'))"),
+    (lambda: Difference(_U, _V), "Difference(left=Variable(name='u'), right=Variable(name='v'))"),
+    (lambda: Product(_U, _V), "Product(left=Variable(name='u'), right=Variable(name='v'))"),
+    (lambda: Bracket(_U, _V), "Bracket(left=Variable(name='u'), right=Variable(name='v'))"),
+    (lambda: Power(Variable("u"), 3), "Power(base=Variable(name='u'), exponent=3)"),
+    (lambda: Variable("x"), "Variable(name='x')"),
+    (lambda: RationalLit(Fraction(2, 3)), "RationalLit(value=Fraction(2, 3))"),
+    (lambda: ImagLit(), "ImagLit()"),
+    (lambda: Group(Variable("v")), "Group(inner=Variable(name='v'))"),
+]
+
+
+@pytest.mark.parametrize("make,text", _NODES, ids=[text[: text.index("(")] for _, text in _NODES])
+def test_nodes_are_frozen_records_of_their_type(make, text):
+    node, twin = make(), make()
+    assert node == twin and not node != twin
+    assert hash(node) == hash(twin)
+    assert repr(node) == text
+    # a node equals a node of its own type only, and never a plain tuple
+    for other_make, _ in _NODES:
+        other = other_make()
+        assert (node == other) is (type(other) is type(node))
+        assert (node != other) is (type(other) is not type(node))
+    fields = type(node).__match_args__
+    values = tuple(getattr(node, name) for name in fields)
+    assert node != values and values != node and not node == values
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    assert {node: 1}[twin] == 1
 
 
 def test_parse_errors_are_positioned():

@@ -14,6 +14,9 @@ from metabelian.dihedral import (
     reynolds_uv,
 )
 from metabelian.invariants import (
+    CstReport,
+    DegreeReport,
+    MinimalityReport,
     comm_module_generators,
     corner_generator_relation,
     cst_sanity,
@@ -617,3 +620,45 @@ def test_cst_sanity():
         assert rep.ok
         assert rep.degree_product == 2 * n == rep.group_order
         assert rep.reflection_count == n == rep.reflection_degree_sum
+
+
+def test_reports_are_mutable_records():
+    fields = dict(degree=4, dim_reynolds=3, dim_series=3, dim_generated=None, ok=True)
+    report = DegreeReport(4, 3, 3, None, True)
+    assert report == DegreeReport(**fields)
+    assert report != DegreeReport(4, 3, 3, 3, True)
+    assert report.as_dict() == {
+        "d": 4, "dim_reynolds": 3, "dim_series": 3, "dim_generated": None, "ok": True,
+    }
+    assert repr(report) == (
+        "DegreeReport(degree=4, dim_reynolds=3, dim_series=3, dim_generated=None, ok=True)"
+    )
+    report.ok = False
+    assert not report.ok and report.as_dict()["ok"] is False
+    with pytest.raises(TypeError):
+        hash(report)
+    with pytest.raises(TypeError):
+        DegreeReport(4, 3, 3, None)
+
+    args = (3, [ONE, ONE], [True, True], [((0, 1), 4, 5)], True)
+    minimality = MinimalityReport(*args)
+    assert minimality == MinimalityReport(
+        n=3, decomposition=[ONE, ONE], single_removal_ok=[True, True],
+        double_removal_failures=[((0, 1), 4, 5)], double_removal_all_fail=True,
+    )
+    assert minimality.ok
+    assert not MinimalityReport(3, [ONE, CycNum.zero(4)], *args[2:]).ok
+    assert not MinimalityReport(*args[:2], [True, False], *args[3:]).ok
+    assert not MinimalityReport(*args[:4], False).ok
+    assert repr(minimality).startswith("MinimalityReport(n=3, decomposition=[")
+
+    cst = CstReport(3, (2, 3), 6, 6, 3, 3, True)
+    assert cst == CstReport(
+        n=3, degrees=(2, 3), group_order=6, degree_product=6, reflection_count=3,
+        reflection_degree_sum=3, fundamental_invariants_fixed=True,
+    )
+    assert cst == cst_sanity(3) and cst.ok
+    assert not CstReport(3, (2, 3), 6, 5, 3, 3, True).ok
+    assert not CstReport(3, (2, 3), 6, 6, 3, 2, True).ok
+    assert not CstReport(3, (2, 3), 6, 6, 3, 3, False).ok
+    assert cst != DegreeReport(4, 3, 3, None, True)
