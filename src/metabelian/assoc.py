@@ -110,10 +110,6 @@ class MetElem:
         return cls()
 
     @classmethod
-    def from_poly(cls, p: CommPoly):
-        return cls(p, CommPoly.zero())
-
-    @classmethod
     def from_comm(cls, h: CommPoly):
         return cls(CommPoly.zero(), h)
 

@@ -299,11 +299,6 @@ class CycNum:
         """Complex conjugation, zeta_m maps to zeta_m^(m-1)."""
         return self._galois(-1)
 
-    def as_gaussian(self) -> tuple[Fraction, Fraction] | None:
-        """Write the value as a + b*i with rational a, b, or None."""
-        g = self._gaussian()
-        return None if g is None else (Fraction(g[0], g[2]), Fraction(g[1], g[2]))
-
     def _gaussian(self) -> tuple[int, int, int] | None:
         """(a, b, den) with the value (a + b*i) / den, or None outside Q(i)."""
         if self.is_rational():

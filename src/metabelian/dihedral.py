@@ -95,15 +95,9 @@ class DihedralElement:
             return self
         return DihedralElement(self.n, -self.rot, False)
 
-    @staticmethod
-    def identity(n: int) -> DihedralElement:
-        return DihedralElement(n, 0, False)
-
 
 def group_elements(n: int) -> list[DihedralElement]:
     """All 2n elements, rotations first, then the reflections tau rho^k."""
-    if n < 3:
-        raise ValueError("dihedral groups here need n >= 3")
     return [DihedralElement(n, k, False) for k in range(n)] + [
         DihedralElement(n, k, True) for k in range(n)
     ]
@@ -169,18 +163,14 @@ def act_assoc(g: DihedralElement, e: MetAssocElem) -> MetAssocElem:
     if not g.flip:
         return MetAssocElem(poly, comm)
 
-    poly_out: dict[tuple[int, ...], CycNum] = {}
-    comm_out: dict[tuple[int, ...], CycNum] = {}
+    # tau sends [v,u] to -[v,u] and swaps left/right u,v trackers; it
+    # sends u^a v^b to v^a u^b, the word u^b v^a plus the commutator part
+    # of its straightening
+    comm_out = {swap(m): -c for m, c in comm.terms.items()}
     for mono, c in poly.terms.items():
-        w = _swap_straighten(mono[0], mono[1])
-        for m2, c2 in w.poly_part.terms.items():
-            accumulate(poly_out, m2, c * c2)
-        for m2, c2 in w.comm_part.terms.items():
+        for m2, c2 in _swap_straighten(mono[0], mono[1]).comm_part.terms.items():
             accumulate(comm_out, m2, c * c2)
-    for mono, c in comm.terms.items():
-        # tau sends [v,u] to -[v,u] and swaps left/right u,v trackers
-        accumulate(comm_out, swap(mono), -c)
-    return MetAssocElem(CommPoly._make(poly_out), CommPoly._make(comm_out))
+    return MetAssocElem(_swapped(poly), CommPoly._make(comm_out))
 
 
 def act_lie(g: DihedralElement, e: MetLieElem) -> MetLieElem:

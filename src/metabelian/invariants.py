@@ -157,7 +157,7 @@ def _cuv_invariant_polys(n: int, e: int) -> tuple[CommPoly, ...]:
 def _invariant_rows_assoc(n: int, d: int) -> tuple[MetAssocElem, ...]:
     rows = []
     for p, q in _orbit_pairs(n, d):
-        row = MetAssocElem.from_poly(CommPoly.term(uv(p, q), ONE)) + _swap_straighten(p, q)
+        row = MetAssocElem(CommPoly.term(uv(p, q), ONE)) + _swap_straighten(p, q)
         rows.append(row if p > q else row.scale(Fraction(1, 2)))
     comm = _swap_differences(n, basis_monomials(d)[1], d - 2)
     return tuple(rows) + tuple(MetAssocElem.from_comm(h) for h in comm)
@@ -472,13 +472,14 @@ def module_span_check(
     if side == "left":
         shift, invariant, ring, series, dims = 0, None, _cuv_invariant_polys, cuv, lambda d: d + 1
     elif side == "right":
-        def invariant(z):
+        def lie_invariant(z):
             return reynolds_lie(n, e := MetLieElem.from_comm(z)) == e
-        shift, ring, series, dims = 2, _cuv_invariant_polys, cuv, partial(dim_invariants_lie, n)
+        shift, invariant, ring, series = 2, lie_invariant, _cuv_invariant_polys, cuv
+        dims = partial(dim_invariants_lie, n)
     elif side == "both":
-        def invariant(z):
+        def assoc_invariant(z):
             return reynolds_assoc(n, e := MetAssocElem.from_comm(z)) == e
-        shift, ring, series = 2, _tensor_invariant_polys, cuv * cuv
+        shift, invariant, ring, series = 2, assoc_invariant, _tensor_invariant_polys, cuv * cuv
         dims = partial(_comm_invariant_count, n)
     else:
         raise ValueError(f"side must be left, right or both, not {side!r}")

@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from .cyclo import CycNum
 
-__all__ = ["RowEchelon", "rank_of"]
+__all__ = ["RowEchelon"]
 
 Row = dict
 
@@ -36,13 +36,6 @@ def _integer_row(row: Row) -> tuple[dict[int, int], int] | None:
         if v.den != 1:
             den = lcm(den, v.den)
     return {c: v.num[0] * (den // v.den) for c, v in row.items() if v.num}, den
-
-
-def _integer_input(row: Row) -> tuple[dict[int, int], int]:
-    """The row for elimination; ValueError unless it is rational."""
-    if (ints := _integer_row(row)) is None:
-        raise ValueError("rows must have rational entries")
-    return ints
 
 
 def _rational_row(row: dict[int, int], den: int) -> Row:
@@ -86,14 +79,11 @@ class RowEchelon:
                     del row[c]
         return row, scale
 
-    def reduce(self, row: Row) -> Row:
-        """Residual of a row after elimination against the stored pivots."""
-        r, scale = self._reduce_integral(*_integer_input(row))
-        return _rational_row(r, scale) if r else {}
-
     def insert(self, row: Row) -> bool:
         """Add a row; True when it enlarged the span."""
-        r, _ = self._reduce_integral(*_integer_input(row))
+        if (ints := _integer_row(row)) is None:
+            raise ValueError("rows must have rational entries")
+        r, _ = self._reduce_integral(*ints)
         if not r:
             return False
         lead = min(r)
@@ -115,11 +105,3 @@ class RowEchelon:
         """The stored pivot rows as monic CycNum rows, by lead column."""
         pivots = self._pivots
         return [_rational_row(pivots[c], pivots[c][c]) for c in sorted(pivots)]
-
-
-def rank_of(rows) -> int:
-    ech = RowEchelon()
-    for row in rows:
-        ech.insert(row)
-    return ech.rank
-

@@ -10,7 +10,7 @@ from metabelian.cyclo import CycNum, cyclotomic_polynomial, euler_phi, imag_unit
 from metabelian.dihedral import act_assoc, group_elements, rotation_weight, swap
 from metabelian.expr import _evaluate
 from metabelian.lie import MetLieElem
-from metabelian.linalg import rank_of
+from metabelian.linalg import RowEchelon
 from metabelian.poly import IU, IU1, IU2, IV, IV1, IV2, ONE, VARIABLES, CommPoly, uv
 
 
@@ -260,15 +260,17 @@ def generated_dims_oracle(gens, n: int, d: int) -> list[int]:
     for g in gens:
         assert group_average(n, g, act_assoc) == g
     graded = [(g.homogeneous_degree(), g) for g in gens]
-    products = {0: [MetAssocElem.from_poly(CommPoly.constant(ONE))]}
+    products = {0: [MetAssocElem(CommPoly.constant(ONE))]}
     dims = [1]
     for e in range(1, d + 1):
         products[e] = [s * g for dg, g in graded for s in products.get(e - dg, ())]
-        dims.append(rank_of(
-            {(0, m): c for m, c in p.poly_part.terms.items()}
-            | {(1, m): c for m, c in p.comm_part.terms.items()}
-            for p in products[e]
-        ))
+        ech = RowEchelon()
+        for p in products[e]:
+            ech.insert(
+                {(0, m): c for m, c in p.poly_part.terms.items()}
+                | {(1, m): c for m, c in p.comm_part.terms.items()}
+            )
+        dims.append(ech.rank)
     return dims
 
 

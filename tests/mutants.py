@@ -134,6 +134,16 @@ MUTANTS = [
     Mutant("reynolds-weight-unreduced", "dihedral.py",
            "not rotation_weight(m) % n", "not rotation_weight(m)",
            ("tests/test_dihedral.py",)),
+    # tau on a word is the swapped word plus its straightening's
+    # commutator part, and tau negates [v,u]
+    Mutant("tau-commutator-sign", "dihedral.py",
+           "{swap(m): -c", "{swap(m): c",
+           ("tests/test_dihedral.py::test_action_examples",
+            "tests/test_dihedral.py::test_action_respects_multiplication")),
+    Mutant("tau-straightening-dropped", "dihedral.py",
+           "accumulate(comm_out, m2, c * c2)", "pass",
+           ("tests/test_dihedral.py::test_action_examples",
+            "tests/test_dihedral.py::test_action_respects_multiplication")),
     # the plain record types: a node equals a node of its own type only,
     # and a group element stores its rotation mod n
     Mutant("node-equality-ignores-type", "expr.py",

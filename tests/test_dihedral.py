@@ -63,7 +63,7 @@ def test_reflections_are_involutions():
     for n in (3, 4, 5):
         for k in range(n):
             r = DihedralElement(n, k, True)
-            assert r * r == DihedralElement.identity(n)
+            assert r * r == DihedralElement(n)
             assert r.inverse() == r
 
 
