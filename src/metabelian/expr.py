@@ -12,7 +12,8 @@ expression, including inside parentheses and brackets):
     VAR    := 'u' | 'v' | 'x' | 'y'
 
 Parentheses and brackets nest at most MAX_NESTING deep; deeper input is
-a syntax error.
+a syntax error.  Equal atoms, powers, groups and brackets of one text are
+one node, evaluated once.
 
 The language denotes elements over Q(i): rational literals are
 field-free and 'i' is the square root of -1 of order 4.  A text that
@@ -81,7 +82,9 @@ class ExprSyntaxError(ValueError):
 class _Node(tuple):
     """A frozen syntax-tree node, the tuple of its fields: it equals a node
     of its own type with equal fields and nothing else, and hashes as that
-    tuple."""
+    tuple, recursively in C with no depth guard, so hashing a node over a
+    long chain such as u+u+...+u crashes the interpreter: the parser and
+    the evaluator key nodes by ``id()`` and never hash one."""
 
     __slots__ = ()
     __hash__ = tuple.__hash__
@@ -201,6 +204,14 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.nodes = {}
+
+    def share(self, key: tuple, *fields):
+        """The one node of this text for ``key``, of type ``key[0]``: a child
+        enters a key by ``id()``, alive in the node, so no key hashes a node."""
+        if key not in self.nodes:
+            self.nodes[key] = key[0](*fields)
+        return self.nodes[key]
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -229,7 +240,7 @@ class _Parser:
     def expr(self):
         if self.peek().kind == "-":
             self.advance()
-            node = Difference(RationalLit(Fraction(0)), self.term())
+            node = Difference(self.share((RationalLit, 0), Fraction(0)), self.term())
         else:
             node = self.term()
         while self.peek().kind in ("+", "-"):
@@ -251,7 +262,8 @@ class _Parser:
             self.advance()
             if self.peek().kind != "int":
                 self.fail(("a nonnegative integer exponent",))
-            node = Power(node, _int_value(self.advance()))
+            k = _int_value(self.advance())
+            node = self.share((Power, id(node), k), node, k)
         return node
 
     def atom(self):
@@ -259,6 +271,7 @@ class _Parser:
         if tok.kind == "int":
             self.advance()
             num = _int_value(tok)
+            value = Fraction(num)
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.peek()
@@ -266,14 +279,14 @@ class _Parser:
                 if not den:
                     self.fail(("a positive integer denominator",))
                 self.advance()
-                return RationalLit(Fraction(num, den))
-            return RationalLit(Fraction(num))
+                value = Fraction(num, den)
+            return self.share((RationalLit, value), value)
         if tok.kind == "name":
             self.advance()
             if tok.text == "i":
-                return ImagLit()
+                return self.share((ImagLit,))
             if tok.text in ("u", "v", "x", "y"):
-                return Variable(tok.text)
+                return self.share((Variable, tok.text), tok.text)
             raise ExprSyntaxError(
                 tok.pos, ("'u'", "'v'", "'x'", "'y'", "'i'"), repr(tok.text)
             )
@@ -283,12 +296,14 @@ class _Parser:
             self.depth += 1
             self.advance()
             if tok.kind == "(":
-                node = Group(self.expr())
+                inner = self.expr()
+                node = self.share((Group, id(inner)), inner)
                 self.expect(")")
             else:
                 left = self.expr()
                 self.expect(",")
-                node = Bracket(left, self.expr())
+                right = self.expr()
+                node = self.share((Bracket, id(left), id(right)), left, right)
                 self.expect("]")
             self.depth -= 1
             return node
@@ -399,34 +414,38 @@ def eval_assoc(node, basis: str = "uv") -> MetAssocElem:
     else:
         leaves = {"x": MetAssocElem.letter("u"), "y": MetAssocElem.letter("v")}
         written = "xy"
-    return _rewrite(_evaluate(node, leaves), written, basis)
+    return _rewrite(_evaluate(node, leaves, {}), written, basis)
 
 
-def _evaluate(node, leaves: dict[str, MetAssocElem]) -> MetAssocElem:
-    """Evaluate a syntax tree with each variable name bound to its leaf."""
+def _evaluate(node, leaves: dict[str, MetAssocElem], memo: dict) -> MetAssocElem:
+    """Evaluate a syntax tree with each variable name bound to its leaf, and
+    each node that is not a chain link once: ``memo`` maps its ``id()`` to its value."""
     # A flat chain such as u+u+...+u parses into a tree as deep as the
     # chain is long, so its left spine is walked by a loop, not recursion.
     spine = []
     while type(node) in _CHAIN_OPS:
         spine.append(node)
         node = node.left
-    match node:
-        case RationalLit(value=q):
-            value = MetAssocElem.one().scale(q)
-        case ImagLit():
-            value = MetAssocElem.one().scale(imag_unit(4))
-        case Variable(name=name):
-            value = leaves[name]
-        case Group(inner=inner):
-            value = _evaluate(inner, leaves)
-        case Power(base=b, exponent=k):
-            value = _evaluate(b, leaves) ** k
-        case Bracket(left=l, right=r):
-            value = _evaluate(l, leaves).commutator(_evaluate(r, leaves))
-        case _:
-            raise TypeError(f"not an expression node: {node!r}")
+    value = memo.get(id(node))
+    if value is None:
+        match node:
+            case RationalLit(value=q):
+                value = MetAssocElem.one().scale(q)
+            case ImagLit():
+                value = MetAssocElem.one().scale(imag_unit(4))
+            case Variable(name=name):
+                value = leaves[name]
+            case Group(inner=inner):
+                value = _evaluate(inner, leaves, memo)
+            case Power(base=b, exponent=k):
+                value = _evaluate(b, leaves, memo) ** k
+            case Bracket(left=l, right=r):
+                value = _evaluate(l, leaves, memo).commutator(_evaluate(r, leaves, memo))
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+        memo[id(node)] = value
     for op in reversed(spine):
-        value = _CHAIN_OPS[type(op)](value, _evaluate(op.right, leaves))
+        value = _CHAIN_OPS[type(op)](value, _evaluate(op.right, leaves, memo))
     return value
 
 

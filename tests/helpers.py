@@ -152,11 +152,11 @@ def eval_with_leaves(node) -> MetAssocElem:
     """Evaluate a syntax tree over u, v with x and y replaced by the leaves
     (u+v)/2 and (u-v)/(2i), built by algebra arithmetic: the reference for
     ``eval_assoc``, which evaluates a text without u, v over its own
-    letters and changes basis once."""
+    letters and changes basis once.  It evaluates with a fresh memo."""
     u, v = MetAssocElem.letter("u"), MetAssocElem.letter("v")
     i = imag_unit(4)
     leaves = {"u": u, "v": v, "x": (u + v).scale(Fraction(1, 2)), "y": (u - v).scale(-i / 2)}
-    return _evaluate(node, leaves)
+    return _evaluate(node, leaves, {})
 
 
 def random_assoc(

@@ -152,6 +152,14 @@ MUTANTS = [
     Mutant("dihedral-rotation-unreduced", "dihedral.py",
            '("rot", rot % n)', '("rot", rot)',
            ("tests/test_dihedral.py::test_dihedral_element_is_a_frozen_record",)),
+    # the parser shares a node only between equal fields: x^2 and x^3, or
+    # two groups with different insides, stay apart
+    Mutant("power-key-exponent-dropped", "expr.py",
+           "(Power, id(node), k)", "(Power, id(node))",
+           ("tests/test_expr.py::test_sharing_changes_no_tree_and_no_value",)),
+    Mutant("group-key-class-only", "expr.py",
+           "(Group, id(inner))", "(Group,)",
+           ("tests/test_expr.py::test_sharing_changes_no_tree_and_no_value",)),
 ]
 
 

@@ -296,14 +296,29 @@ def test_verify_cst(capsys):
     assert payload["ok"] is True and payload["degrees"] == []
 
 
-def _run_capped(*argv, cap=1 << 30):
+def _run_capped(*argv, cap=1 << 30, stdin=None):
     """The CLI in a child process limited to ``cap`` bytes (1 GiB by
-    default) of address space; the limit applies to the child alone."""
+    default) of address space, reading ``stdin``; the limit applies to the
+    child alone."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, "-m", "metabelian.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+@pytest.mark.parametrize("template", ["{}", "({})*x"])
+def test_canon_of_a_100000_term_chain(template):
+    # hashing a node over a chain this long recurses in C and crashes
+    # the interpreter, so this pins that neither the parser's sharing nor
+    # the evaluator's memo hashes a node; the text is longer than one
+    # argument may be, so it goes in on stdin
+    proc = _run_capped("canon", stdin=template.format("+".join(["u"] * 100_000)))
+    assert proc.returncode == 0, proc.stderr
+    # x beside u is the leaf (u+v)/2
+    assert proc.stdout.strip() == (
+        "100000*u" if template == "{}" else "50000*u^2 + 50000*u*v"
     )
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -17,6 +18,8 @@ from metabelian.expr import (
     RationalLit,
     Sum,
     Variable,
+    _Node,
+    _Parser,
     _xy_inverse,
     _xy_matrix,
     eval_assoc,
@@ -27,6 +30,8 @@ from metabelian.expr import (
 from metabelian.lie import MetLieElem
 from metabelian.poly import ONE, CommPoly, uv
 from helpers import eval_with_leaves, linear_image_oracle, random_assoc, random_cyc
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_parse_shapes():
@@ -130,6 +135,71 @@ def test_eval_is_multiplicative():
         lhs = eval_assoc(parse(f"({a})*({b})"))
         rhs = eval_assoc(parse(a)) * eval_assoc(parse(b))
         assert lhs == rhs
+
+
+class _UnsharedParser(_Parser):
+    """The parser with every node built afresh: the tree before sharing."""
+
+    def share(self, key, *fields):
+        return key[0](*fields)
+
+
+def _visits(tree) -> list:
+    """Every node of a tree, once per place it occurs."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += (f for f in node if isinstance(f, _Node))
+    return out
+
+
+def test_sharing_changes_no_tree_and_no_value(monkeypatch):
+    # the criterion-8 texts in both bases, the benchmark's canon-xy inputs
+    # for seeds 0-3, and grammar texts with repeated groups and brackets
+    monkeypatch.syspath_prepend(str(BENCH))
+    from run import canon_pass
+
+    rng = Random(4242)
+    elems = [random_assoc(rng, order=4, max_degree=8, terms=4) for _ in range(20)]
+    texts = [print_elem(e, basis) for e in elems for basis in ("uv", "xy")]
+    texts += [text for seed in range(4) for text in canon_pass(seed, 0)]
+    rng = Random(107)
+    texts += [_gen_expr(rng, 6, 0)[0] for _ in range(40)]
+    visits = distinct = 0
+    for text in texts:
+        tree, unshared = parse(text), _UnsharedParser(text).parse()
+        assert tree == unshared, text
+        nodes = _visits(unshared)
+        assert len({id(n) for n in nodes}) == len(nodes)
+        assert eval_assoc(tree) == eval_assoc(unshared), text
+        factors = [n for n in _visits(tree) if type(n) not in (Sum, Difference, Product)]
+        visits += len(factors)
+        distinct += len({id(n) for n in factors})
+    # most factor occurrences repeat an earlier one of their text
+    assert distinct < visits / 2
+
+
+def test_a_repeated_factor_is_evaluated_once(monkeypatch):
+    calls = {"__pow__": 0, "commutator": 0}
+    for name in calls:
+        original = getattr(MetAssocElem, name)
+
+        def counted(self, other, name=name, original=original):
+            calls[name] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(MetAssocElem, name, counted)
+    powers = parse(" + ".join(f"{k}*x^7*y" for k in range(1, 51)))
+    assert powers.left.right.left.right is powers.right.left.right
+    value = eval_assoc(powers)
+    assert calls == {"__pow__": 1, "commutator": 0}
+    assert value == eval_assoc(parse("1275*x^7*y"))
+    brackets = parse(" - ".join(["[y,x]*x"] * 50))
+    assert brackets.left.right.left is brackets.right.left
+    value = eval_assoc(brackets)
+    assert calls == {"__pow__": 2, "commutator": 1}
+    assert value == eval_assoc(parse("-48*[y,x]*x"))
 
 
 def test_print_examples():
