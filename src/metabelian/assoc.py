@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycNum, accumulate, power
-from .poly import IU1, IU2, IV1, IV2, ONE, CommPoly, _power, uv
+from .poly import IU1, IU2, IV1, IV2, ONE, CommPoly, uv
 
 __all__ = [
     "MetAssocElem",
@@ -172,6 +172,23 @@ class MetAssocElem(MetElem):
             raise ValueError(f"generators are 'u' and 'v', got {name!r}")
         return cls(CommPoly.variable(name))
 
+    @classmethod
+    def linear_combination(cls, terms) -> MetAssocElem:
+        """The sum of c*e over ``terms``, pairs of a scalar c and an element
+        e or None for the unit, into one map per block, where summing by
+        ``+`` copies the sum so far once per term."""
+        poly: dict[tuple[int, ...], CycNum] = {}
+        comm: dict[tuple[int, ...], CycNum] = {}
+        for c, e in terms:
+            if e is None:
+                accumulate(poly, uv(0, 0), c)
+                continue
+            for m, x in e.poly_part.terms.items():
+                accumulate(poly, m, x * c)
+            for m, x in e.comm_part.terms.items():
+                accumulate(comm, m, x * c)
+        return cls(CommPoly._make(poly), CommPoly._make(comm))
+
     def __mul__(self, other):
         if not isinstance(other, MetAssocElem):
             return self.__rmul__(other)
@@ -216,22 +233,34 @@ class MetAssocElem(MetElem):
         u2, v2.  So the block maps by det(g) times one ``substitute``,
         u1, v1 -> lu, lv in (u1, v1) and u2, v2 -> lu, lv in (u2, v2).
 
-        A word u^p v^q maps to (gu)^p (gv)^q.  The words that share a
-        u-exponent p are summed first, as the sum over q of c_pq (gv)^q,
-        so the block takes one algebra product per distinct p.
+        A word u^p v^q maps to (gu)^p (gv)^q, so the words sum by Horner's
+        rule twice: R_p = sum over q of c_pq (gv)^q, then R_0 + gu (R_1 +
+        gu (R_2 + ...)).  Every product has a letter image as one factor.
         """
         lu, lv = CommPoly.linear(a, c), CommPoly.linear(b, d)
         images = {IU1: lu.moved(IU1), IV1: lv.moved(IU1), IU2: lu.moved(IU2), IV2: lv.moved(IU2)}
         out = MetAssocElem.from_comm(self.comm_part.scale(a * d - b * c).substitute(images))
-
-        gu_pows = [MetAssocElem.one(), MetAssocElem(lu)]
-        gv_pows = [MetAssocElem.one(), MetAssocElem(lv)]
-        by_u: dict[int, MetAssocElem] = {}
+        if self.poly_part.is_zero():
+            return out
+        gu, gv = MetAssocElem(lu), MetAssocElem(lv)
+        rows: dict[int, dict[int, MetAssocElem]] = {}
         for (p, q, *_), coeff in self.poly_part.terms.items():
-            by_u[p] = by_u.get(p, MetAssocElem.zero()) + _power(gv_pows, q).scale(coeff)
-        for p, right in by_u.items():
-            out = out + _power(gu_pows, p) * right
-        return out
+            rows.setdefault(p, {})[q] = MetAssocElem(CommPoly.constant(coeff))
+        by_u = {p: _horner(row, lambda e: e * gv) for p, row in rows.items()}
+        return out + _horner(by_u, lambda e: gu * e)
+
+
+def _horner(coeffs: dict[int, MetAssocElem], times) -> MetAssocElem:
+    """The sum over k of g^k coeffs[k] as coeffs[0] + g (coeffs[1] + g (...)),
+    where ``times`` multiplies by g, which commutes with its own powers;
+    a k missing from ``coeffs`` is 0."""
+    top = max(coeffs)
+    acc = coeffs[top]
+    for k in range(top - 1, -1, -1):
+        acc = times(acc)
+        if k in coeffs:
+            acc = acc + coeffs[k]
+    return acc
 
 
 def commutator(e1: MetAssocElem, e2: MetAssocElem) -> MetAssocElem:

@@ -32,7 +32,6 @@ z(m,k) notation for display only.
 
 from __future__ import annotations
 
-import operator
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -42,7 +41,7 @@ from itertools import chain
 from .assoc import MetAssocElem, MetElem
 from .cyclo import CycNum, _fraction_text, _powers, _signed_part, _signed_sum, imag_unit
 from .lie import MetLieElem
-from .poly import IU, IU1, IU2, ONE
+from .poly import IU, IU1, IU2, ONE, ZERO
 
 __all__ = [
     "Bracket",
@@ -82,12 +81,15 @@ class ExprSyntaxError(ValueError):
 class _Node(tuple):
     """A frozen syntax-tree node, the tuple of its fields: it equals a node
     of its own type with equal fields and nothing else, and hashes as that
-    tuple, recursively in C with no depth guard, so hashing a node over a
-    long chain such as u+u+...+u crashes the interpreter: the parser and
-    the evaluator key nodes by ``id()`` and never hash one."""
+    tuple.  Like ``==`` and ``repr``, the hash of each node runs in Python,
+    so a node over a chain deeper than the recursion limit, such as
+    u+u+...+u, raises RecursionError; the parser and the evaluator key
+    nodes by ``id()`` and never hash one."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
+
+    def __hash__(self):
+        return tuple.__hash__(self)
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -150,8 +152,8 @@ _Token = namedtuple("_Token", "kind text pos")
 
 def _tokenize(text: str) -> list[_Token]:
     out = []
-    i = 0
-    while i < len(text):
+    i, end = 0, len(text)
+    while i < end:
         ch = text[i]
         if ch.isspace():
             i += 1
@@ -162,14 +164,14 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j] in _DIGITS:
+            while j < end and text[j] in _DIGITS:
                 j += 1
             out.append(_Token("int", text[i:j], i))
             i = j
             continue
         if ch.isalpha():
             j = i
-            while j < len(text) and text[j].isalpha():
+            while j < end and text[j].isalpha():
                 j += 1
             out.append(_Token("name", text[i:j], i))
             i = j
@@ -177,7 +179,7 @@ def _tokenize(text: str) -> list[_Token]:
         raise ExprSyntaxError(
             i, ("a number", "a variable", "an operator"), repr(ch)
         )
-    out.append(_Token("eof", "", len(text)))
+    out.append(_Token("eof", "", end))
     return out
 
 
@@ -240,7 +242,7 @@ class _Parser:
     def expr(self):
         if self.peek().kind == "-":
             self.advance()
-            node = Difference(self.share((RationalLit, 0), Fraction(0)), self.term())
+            node = Difference(self.share((RationalLit, 0, 1), Fraction(0)), self.term())
         else:
             node = self.term()
         while self.peek().kind in ("+", "-"):
@@ -270,8 +272,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            num = _int_value(tok)
-            value = Fraction(num)
+            num, den = _int_value(tok), 1
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.peek()
@@ -279,8 +280,8 @@ class _Parser:
                 if not den:
                     self.fail(("a positive integer denominator",))
                 self.advance()
-                value = Fraction(num, den)
-            return self.share((RationalLit, value), value)
+            # keyed by its ints, so no key hashes a Fraction
+            return self.share((RationalLit, num, den), Fraction(num, den))
         if tok.kind == "name":
             self.advance()
             if tok.text == "i":
@@ -377,7 +378,7 @@ def _rewrite(e, written: str, basis: str):
 # Evaluation into the associative algebra
 # ----------------------------------------------------------------------
 
-_CHAIN_OPS = {Sum: operator.add, Difference: operator.sub, Product: operator.mul}
+_CHAINS = (Sum, Difference, Product)
 
 
 def _letters(node) -> set[str]:
@@ -414,39 +415,86 @@ def eval_assoc(node, basis: str = "uv") -> MetAssocElem:
     else:
         leaves = {"x": MetAssocElem.letter("u"), "y": MetAssocElem.letter("v")}
         written = "xy"
-    return _rewrite(_evaluate(node, leaves, {}), written, basis)
+    c, e = _evaluate(node, leaves, {})
+    value = MetAssocElem.one().scale(c) if e is None else e if c == 1 else e.scale(c)
+    return _rewrite(value, written, basis)
 
 
-def _evaluate(node, leaves: dict[str, MetAssocElem], memo: dict) -> MetAssocElem:
-    """Evaluate a syntax tree with each variable name bound to its leaf, and
-    each node that is not a chain link once: ``memo`` maps its ``id()`` to its value."""
+def _evaluate(node, leaves: dict[str, MetAssocElem], memo: dict):
+    """Evaluate a syntax tree as (c, e), the value c*e, with each variable
+    name bound to its leaf and e None for a constant c (a tree of literals
+    and i alone is one).  Constants are central, so a product chain
+    multiplies its constants apart from its other factors.  ``memo`` maps
+    the ``id()`` of each node that is not a chain link to its (c, e), and
+    the pair of ``id()``s of a product p of a chain's first non-constant
+    factors and of its next one f to (p, p*f), so each factor is evaluated
+    and each such prefix multiplied once."""
     # A flat chain such as u+u+...+u parses into a tree as deep as the
     # chain is long, so its left spine is walked by a loop, not recursion.
     spine = []
-    while type(node) in _CHAIN_OPS:
+    while type(node) in _CHAINS:
         spine.append(node)
         node = node.left
     value = memo.get(id(node))
     if value is None:
         match node:
             case RationalLit(value=q):
-                value = MetAssocElem.one().scale(q)
+                value = (ONE * q, None)
             case ImagLit():
-                value = MetAssocElem.one().scale(imag_unit(4))
+                value = (imag_unit(4), None)
             case Variable(name=name):
-                value = leaves[name]
+                value = (ONE, leaves[name])
             case Group(inner=inner):
                 value = _evaluate(inner, leaves, memo)
             case Power(base=b, exponent=k):
-                value = _evaluate(b, leaves, memo) ** k
+                c, e = _evaluate(b, leaves, memo)
+                value = (c if c is ONE else c**k, None if e is None else e**k)
             case Bracket(left=l, right=r):
-                value = _evaluate(l, leaves, memo).commutator(_evaluate(r, leaves, memo))
+                (c, e), (c2, e2) = _evaluate(l, leaves, memo), _evaluate(r, leaves, memo)
+                # a bracket with a constant is 0
+                value = (ZERO, None) if e is None or e2 is None else (c * c2, e.commutator(e2))
             case _:
                 raise TypeError(f"not an expression node: {node!r}")
         memo[id(node)] = value
+    c, e = value
+    terms = None  # a Sum or Difference chain's (c, e) terms
     for op in reversed(spine):
-        value = _CHAIN_OPS[type(op)](value, _evaluate(op.right, leaves, memo))
-    return value
+        c2, e2 = _evaluate(op.right, leaves, memo)
+        if type(op) is not Product:
+            if terms is None:
+                terms = [(c, e)]
+            terms.append((c2 if type(op) is Sum else -c2, e2))
+            continue
+        if terms is not None:
+            # a hand-built tree may multiply a sum, which is then one factor
+            (c, e), terms = _sum(terms), None
+        if c2 is not ONE:  # ONE itself stands for no constant factor
+            c = c * c2
+        if e2 is None:
+            continue
+        if e is None:
+            e = e2
+            continue
+        # the prefix so far and the new factor name the new prefix; the
+        # memo keeps e, so its id() is not reused while the key stands
+        key = (id(e), id(op.right))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (e, e * e2)
+        e = hit[1]
+    return (c, e) if terms is None else _sum(terms)
+
+
+def _sum(terms: list) -> tuple:
+    """The (c, e) of the sum of c*e over ``terms``: the sum of the c when
+    every e is None, else one ``linear_combination``."""
+    if any(e is not None for _, e in terms):
+        return ONE, MetAssocElem.linear_combination(terms)
+    total = ZERO
+    for c, _ in terms:
+        # as in cyclo.accumulate, a sum so far of 0 takes no addition
+        total = total + c if total else c
+    return total, None
 
 
 # ----------------------------------------------------------------------

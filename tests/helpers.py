@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from random import Random
 
 from metabelian.assoc import MetAssocElem, from_word
 from metabelian.cyclo import CycNum, cyclotomic_polynomial, euler_phi, imag_unit
 from metabelian.dihedral import act_assoc, group_elements, rotation_weight, swap
-from metabelian.expr import _evaluate
+from metabelian.expr import (
+    Bracket,
+    Difference,
+    Group,
+    ImagLit,
+    Power,
+    Product,
+    RationalLit,
+    Sum,
+    Variable,
+)
 from metabelian.lie import MetLieElem
 from metabelian.linalg import RowEchelon
 from metabelian.poly import IU, IU1, IU2, IV, IV1, IV2, ONE, VARIABLES, CommPoly, uv
@@ -148,15 +159,56 @@ def cyc_mul_oracle(x: CycNum, y: CycNum) -> CycNum:
     return CycNum(x.order, _phi_remainder(x.order, dense))
 
 
+_CHAIN_OPS = {Sum: operator.add, Difference: operator.sub, Product: operator.mul}
+
+
+def evaluate_oracle(node, leaves: dict[str, MetAssocElem], memo: dict) -> MetAssocElem:
+    """Evaluate a syntax tree with each variable name bound to its leaf and
+    every node, a literal too, an algebra element, so each chain link is one
+    algebra operation: the reference for ``expr._evaluate``, which keeps
+    constants as scalars, multiplies each product prefix once and sums a
+    chain into one map.  ``memo`` maps the ``id()`` of each node that is not
+    a chain link to its value."""
+    # a flat chain such as u+u+...+u is as deep as it is long, so its
+    # left spine is walked by a loop, not recursion
+    spine = []
+    while type(node) in _CHAIN_OPS:
+        spine.append(node)
+        node = node.left
+    value = memo.get(id(node))
+    if value is None:
+        match node:
+            case RationalLit(value=q):
+                value = MetAssocElem.one().scale(q)
+            case ImagLit():
+                value = MetAssocElem.one().scale(imag_unit(4))
+            case Variable(name=name):
+                value = leaves[name]
+            case Group(inner=inner):
+                value = evaluate_oracle(inner, leaves, memo)
+            case Power(base=b, exponent=k):
+                value = evaluate_oracle(b, leaves, memo) ** k
+            case Bracket(left=l, right=r):
+                value = evaluate_oracle(l, leaves, memo).commutator(
+                    evaluate_oracle(r, leaves, memo)
+                )
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+        memo[id(node)] = value
+    for op in reversed(spine):
+        value = _CHAIN_OPS[type(op)](value, evaluate_oracle(op.right, leaves, memo))
+    return value
+
+
 def eval_with_leaves(node) -> MetAssocElem:
     """Evaluate a syntax tree over u, v with x and y replaced by the leaves
     (u+v)/2 and (u-v)/(2i), built by algebra arithmetic: the reference for
     ``eval_assoc``, which evaluates a text without u, v over its own
-    letters and changes basis once.  It evaluates with a fresh memo."""
+    letters and changes basis once.  It evaluates by ``evaluate_oracle``."""
     u, v = MetAssocElem.letter("u"), MetAssocElem.letter("v")
     i = imag_unit(4)
     leaves = {"u": u, "v": v, "x": (u + v).scale(Fraction(1, 2)), "y": (u - v).scale(-i / 2)}
-    return _evaluate(node, leaves, {})
+    return evaluate_oracle(node, leaves, {})
 
 
 def random_assoc(

@@ -2,10 +2,11 @@
 change at a time, and see a selected test fail.
 
 Each mutant is (name, file under ``src/metabelian``, exact text,
-replacement, tests).  For each one the script copies ``src/`` and
-``tests/`` to a temporary directory, replaces the text, which must occur
-exactly once, and runs the named tests there with pytest (the copied
-``conftest.py`` puts the copied ``src/`` first on the path).  A mutant is
+replacement, tests).  For each one the script copies ``src/``,
+``tests/`` and ``bench/`` (whose ``run.py`` some tests read) to a
+temporary directory, replaces the text, which must occur exactly once,
+and runs the named tests there with pytest (the copied ``conftest.py``
+puts the copied ``src/`` first on the path).  A mutant is
 
 * killed when a test fails (or the run outlasts ``TIMEOUT_S``),
 * survived when every test passes,
@@ -160,12 +161,20 @@ MUTANTS = [
     Mutant("group-key-class-only", "expr.py",
            "(Group, id(inner))", "(Group,)",
            ("tests/test_expr.py::test_sharing_changes_no_tree_and_no_value",)),
+    # the evaluator keys a product prefix by the prefix before it and its
+    # new factor, and a Difference chain subtracts its terms
+    Mutant("prefix-key-factor-dropped", "expr.py",
+           "key = (id(e), id(op.right))", "key = (id(e),)",
+           ("tests/test_expr.py::test_evaluation_equals_the_element_oracle",)),
+    Mutant("difference-term-sign", "expr.py",
+           "c2 if type(op) is Sum else -c2", "c2",
+           ("tests/test_expr.py::test_evaluation_equals_the_element_oracle",)),
 ]
 
 
 def _copy(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-    for part in ("src", "tests"):
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".bench_out")
+    for part in ("src", "tests", "bench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 

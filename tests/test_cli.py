@@ -296,13 +296,13 @@ def test_verify_cst(capsys):
     assert payload["ok"] is True and payload["degrees"] == []
 
 
-def _run_capped(*argv, cap=1 << 30, stdin=None):
-    """The CLI in a child process limited to ``cap`` bytes (1 GiB by
-    default) of address space, reading ``stdin``; the limit applies to the
-    child alone."""
+def _run_capped(*argv, cap=1 << 30, stdin=None, python=("-m", "metabelian.cli")):
+    """The CLI, or the interpreter options ``python``, with ``argv`` in a
+    child process limited to ``cap`` bytes (1 GiB by default) of address
+    space, reading ``stdin``; the limit applies to the child alone."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-m", "metabelian.cli", *argv],
+        [sys.executable, *python, *argv],
         input=stdin, capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
@@ -320,6 +320,31 @@ def test_canon_of_a_100000_term_chain(template):
     assert proc.stdout.strip() == (
         "100000*u" if template == "{}" else "50000*u^2 + 50000*u*v"
     )
+
+
+def test_canon_of_a_100000_factor_chain():
+    # the evaluator keys each product prefix by a pair of ids, the prefix
+    # before it and its new factor, so a chain of n factors keeps n keys
+    # of fixed size, not keys as long as the prefix
+    proc = _run_capped("canon", stdin="*".join(["u"] * 100_000))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "u^100000"
+
+
+def test_hashing_a_deep_node_raises_recursion_error():
+    # each node's hash runs in Python, as its == and repr do, so a node
+    # over a chain deeper than the recursion limit raises RecursionError
+    # where a hash in C alone recursed until the interpreter crashed
+    code = (
+        "from metabelian.expr import Group, parse\n"
+        "try:\n"
+        "    hash(Group(parse('+'.join(['u'] * 300_000))))\n"
+        "except RecursionError:\n"
+        "    print('RecursionError')\n"
+    )
+    proc = _run_capped(python=("-c", code))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "RecursionError\n"
 
 
 def test_verify_cst_huge_n_is_bounded():

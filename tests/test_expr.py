@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -18,6 +19,7 @@ from metabelian.expr import (
     RationalLit,
     Sum,
     Variable,
+    _evaluate,
     _Node,
     _Parser,
     _xy_inverse,
@@ -29,7 +31,13 @@ from metabelian.expr import (
 )
 from metabelian.lie import MetLieElem
 from metabelian.poly import ONE, CommPoly, uv
-from helpers import eval_with_leaves, linear_image_oracle, random_assoc, random_cyc
+from helpers import (
+    eval_with_leaves,
+    evaluate_oracle,
+    linear_image_oracle,
+    random_assoc,
+    random_cyc,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -67,11 +75,22 @@ _NODES = [
 ]
 
 
+def _plain(node):
+    """A node as nested plain tuples, which hash recursively in C."""
+    return tuple(_plain(f) if isinstance(f, _Node) else f for f in node)
+
+
+def test_a_node_hashes_as_its_plain_tuple():
+    tree = parse("-(u*v - 3/2*[x, y^2])^2 + i*(x + 1)")
+    assert hash(tree) == hash(_plain(tree))
+    assert {tree: 1}[parse("-(u*v - 3/2*[x, y^2])^2 + i*(x + 1)")] == 1
+
+
 @pytest.mark.parametrize("make,text", _NODES, ids=[text[: text.index("(")] for _, text in _NODES])
 def test_nodes_are_frozen_records_of_their_type(make, text):
     node, twin = make(), make()
     assert node == twin and not node != twin
-    assert hash(node) == hash(twin)
+    assert hash(node) == hash(twin) == hash(_plain(node))
     assert repr(node) == text
     # a node equals a node of its own type only, and never a plain tuple
     for other_make, _ in _NODES:
@@ -200,6 +219,91 @@ def test_a_repeated_factor_is_evaluated_once(monkeypatch):
     value = eval_assoc(brackets)
     assert calls == {"__pow__": 2, "commutator": 1}
     assert value == eval_assoc(parse("-48*[y,x]*x"))
+
+
+def _chain(node, ops) -> list:
+    """The operands of a left-leaning chain of the node types ``ops``,
+    left to right."""
+    rights = []
+    while type(node) in ops:
+        rights.append(node.right)
+        node = node.left
+    return [node, *reversed(rights)]
+
+
+def _constant(tree) -> bool:
+    return not any(type(n) is Variable for n in _visits(tree))
+
+
+def test_evaluation_equals_the_element_oracle(monkeypatch):
+    # _evaluate keeps constants as scalars, multiplies each product prefix
+    # once and sums a chain into one map; the oracle makes every node, a
+    # literal too, an element and each chain link one algebra operation
+    monkeypatch.syspath_prepend(str(BENCH))
+    from run import canon_pass
+
+    rng = Random(4243)
+    elems = [random_assoc(rng, order=4, max_degree=8, terms=4) for _ in range(15)]
+    texts = [print_elem(e, basis) for e in elems for basis in ("uv", "xy")]
+    inputs = [text for seed in range(4) for text in canon_pass(seed, 0)]
+    texts += inputs + [print_elem(eval_assoc(parse(t)), "xy") for t in inputs[::10]]
+    rng = Random(109)
+    texts += [_gen_expr(rng, 6, 0)[0] for _ in range(60)]
+    texts += ["(1-i)*(1+i)", "2^10", "[2,3]", "-(1/2)", "0^0", "3 - 3", "[x, 2*i]", "0*x - 1"]
+    trees = [parse(text) for text in texts]
+    # hand-built trees the parser never makes: a product of sums, a
+    # product on the right of a product, and shared nodes in one tree
+    x, y, u = Variable("x"), Variable("y"), Variable("u")
+    one, two, i = RationalLit(Fraction(1)), RationalLit(Fraction(2)), ImagLit()
+    s = Sum(x, two)
+    trees += [
+        Product(Sum(x, two), Difference(y, i)),
+        Sum(Product(Sum(x, y), x), Product(y, Sum(x, one))),
+        Product(Product(x, y), Product(y, Product(two, x))),
+        Difference(Product(Difference(x, x), y), RationalLit(Fraction(3))),
+        Product(Sum(one, two), Product(i, x)),
+        Product(Product(s, s), Product(s, y)),
+        Sum(Product(Product(x, y), x), Difference(Product(Product(x, y), y), Product(x, y))),
+        Bracket(Sum(x, one), Product(two, Power(Sum(y, i), 3))),
+        Power(Group(Difference(Product(i, u), Product(x, Sum(one, i)))), 2),
+        Product(Difference(one, one), x),
+    ]
+    x_leaf, y_leaf = (MetAssocElem.letter(name) for name in "uv")
+    leaves = {"x": x_leaf, "y": y_leaf, "u": x_leaf + y_leaf, "v": x_leaf.scale(Fraction(1, 3))}
+    for tree in trees:
+        c, e = _evaluate(tree, leaves, {})
+        assert (e is None) >= _constant(tree), tree
+        value = MetAssocElem.one().scale(c) if e is None else e.scale(c)
+        assert value == evaluate_oracle(tree, leaves, {}), tree
+        assert eval_assoc(tree) == eval_with_leaves(tree), tree
+
+
+def test_a_read_back_multiplies_each_prefix_once(monkeypatch):
+    # the constants of a canonical text are scalars, never operands of an
+    # algebra product, and terms that share a monomial prefix such as
+    # x^3*y*[y,x] share its product
+    e = random_assoc(Random(163), order=4, max_degree=8, terms=12)
+    xy = to_xy(e)
+    tree = parse(print_elem(xy, "xy", "xy"))
+    distinct, occurrences = set(), 0
+    for term in _chain(tree, (Sum, Difference)):
+        factors = [id(f) for f in _chain(term, (Product,)) if not _constant(f)]
+        prefixes = [tuple(factors[:k]) for k in range(2, len(factors) + 1)]
+        distinct.update(prefixes)
+        occurrences += len(prefixes)
+    assert len(distinct) < occurrences
+    chain_products, original = [], MetAssocElem.__mul__
+
+    def counted(self, other):
+        for operand in (self, other):
+            assert operand.comm_part.terms or operand.poly_part.terms.keys() - {uv(0, 0)}
+        if sys._getframe(1).f_code is _evaluate.__code__:
+            chain_products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(MetAssocElem, "__mul__", counted)
+    assert eval_assoc(tree, "xy") == xy
+    assert len(chain_products) == len(distinct)
 
 
 def test_print_examples():

@@ -76,6 +76,7 @@ LIBRARY_API = {
     "lie.embed_assoc": "lie",
     "expr._lie_word": "lie",
     "assoc.commutator": "element",
+    "assoc.MetElem.zero": "element",
     "assoc.MetElem.degree": "element",
     "assoc.MetElem.homogeneous_component": "element",
     "poly.CommPoly.degree": "element",
